@@ -1,6 +1,8 @@
 #!/usr/bin/env python3
-"""Sweep every isomorphism class of posets up to a given size and run the
-full verification stack on each, printing a per-size summary table.
+"""Sweep every isomorphism class of posets up to a given size through the
+CLI property suite (the checks behind ``esakia verify``) and print, per size,
+the class count and how many classes passed each verdict out of those it
+ran on.  Exits 1 if any verdict fails on any class.
 
 Usage: python scripts/survey_small_posets.py [--max-n 6]
 """
@@ -8,52 +10,50 @@ Usage: python scripts/survey_small_posets.py [--max-n 6]
 import argparse
 import time
 
-from esakia.algebra import is_godel, lattice_of_sets, spectrum, upset_algebra
-from esakia.constructions import downset_open_check, root_topology_check, staged_topology
-from esakia.duality import double_dual_lattice, double_dual_poset, poset_isomorphism
+from esakia.cli import property_suite
+from esakia.documents import Report
 from esakia.generators import enumerate_posets
-from esakia.posets import is_root_system, is_tree
-from esakia.topology import clopen_upsets, esakia_check, is_discrete
 
 
-def survey(n: int) -> dict:
-    row = {"classes": 0, "trees": 0, "root_systems": 0, "godel": 0,
-           "duality_ok": 0, "root_ok": 0, "staged_ok": 0}
-    for p in enumerate_posets(n):
-        row["classes"] += 1
-        double_dual_poset(p)
-        double_dual_lattice(upset_algebra(p))
-        row["duality_ok"] += 1
-        if is_godel(upset_algebra(p)).holds:
-            row["godel"] += 1
-        if is_root_system(p):
-            row["root_systems"] += 1
-            topo = root_topology_check(p)
-            lat = lattice_of_sets(clopen_upsets(p, topo))
-            assert poset_isomorphism(spectrum(lat), p) is not None
-            row["root_ok"] += 1
-        if is_tree(p):
-            row["trees"] += 1
-            st = staged_topology(p)
-            assert is_discrete(st.final) and esakia_check(p, st.final)
-            assert downset_open_check(st)
-            row["staged_ok"] += 1
-    return row
+def survey(n: int) -> tuple[int, dict[str, list[int]]]:
+    """Class count and, per verdict name, [classes passed, classes run]."""
+    classes = list(enumerate_posets(n))
+    tally: dict[str, list[int]] = {}
+    for p in classes:
+        report = Report("verify", "")
+        property_suite(p, report)
+        for v in report.verdicts:
+            row = tally.setdefault(v.name, [0, 0])
+            row[0] += v.passed
+            row[1] += 1
+    return len(classes), tally
 
 
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--max-n", type=int, default=6)
     args = ap.parse_args()
-    cols = ["n", "classes", "trees", "root_systems", "godel",
-            "duality_ok", "root_ok", "staged_ok", "seconds"]
-    print("  ".join(f"{c:>12}" for c in cols))
-    for n in range(1, args.max_n + 1):
+    sizes = range(1, args.max_n + 1)
+    results, seconds = {}, {}
+    for n in sizes:
         t0 = time.perf_counter()
-        row = survey(n)
-        row["n"] = n
-        row["seconds"] = f"{time.perf_counter() - t0:.2f}"
-        print("  ".join(f"{row[c]:>12}" for c in cols))
+        results[n] = survey(n)
+        seconds[n] = f"{time.perf_counter() - t0:.2f}"
+    names = list(dict.fromkeys(name for n in sizes for name in results[n][1]))
+    width = max(map(len, names))
+
+    def line(label, cells):
+        print(f"{label:<{width}}" + "".join(f"{c:>10}" for c in cells))
+
+    line("n", sizes)
+    line("classes", (results[n][0] for n in sizes))
+    failed = False
+    for name in names:
+        counts = [results[n][1].get(name, (0, 0)) for n in sizes]
+        failed = failed or any(passed < run for passed, run in counts)
+        line(name, (f"{passed}/{run}" for passed, run in counts))
+    line("seconds", (seconds[n] for n in sizes))
+    raise SystemExit(1 if failed else 0)
 
 
 if __name__ == "__main__":

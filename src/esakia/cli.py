@@ -437,3 +437,7 @@ def main() -> None:
     report, code = run_command(sys.argv[1:])
     sys.stdout.write(report.to_json())
     raise SystemExit(code)
+
+
+if __name__ == "__main__":
+    main()

@@ -81,25 +81,9 @@ def _orderings(p: FinitePoset):
         yield [x for grp in perms for x in grp]
 
 
-@lru_cache(maxsize=None)
-def canonical_key(p: FinitePoset) -> tuple[int, int]:
-    """Minimum strict-order-matrix encoding over color-respecting orderings."""
-    best = None
-    for order in _orderings(p):
-        enc = 0
-        for x in order:
-            row = 0
-            for j, y in enumerate(order):
-                if x != y and p.leq(x, y):
-                    row |= 1 << j
-            enc = enc << p.n | row
-        if best is None or enc < best:
-            best = enc
-    return (p.n, best if best is not None else 0)
-
-
-def canonical_form(p: FinitePoset) -> FinitePoset:
-    """The canonically labelled representative of p's isomorphism class."""
+def _least_encoding(p: FinitePoset) -> tuple[int, list[int]]:
+    """Minimum strict-order-matrix encoding over color-respecting orderings,
+    with the first ordering that reaches it."""
     best = None
     best_order = None
     for order in _orderings(p):
@@ -112,9 +96,18 @@ def canonical_form(p: FinitePoset) -> FinitePoset:
             enc = enc << p.n | row
         if best is None or enc < best:
             best, best_order = enc, order
-    if best_order is None:
-        return FinitePoset(0, frozenset())
-    pos = {x: i for i, x in enumerate(best_order)}
+    return best, best_order
+
+
+@lru_cache(maxsize=None)
+def canonical_key(p: FinitePoset) -> tuple[int, int]:
+    """Minimum strict-order-matrix encoding over color-respecting orderings."""
+    return (p.n, _least_encoding(p)[0])
+
+
+def canonical_form(p: FinitePoset) -> FinitePoset:
+    """The canonically labelled representative of p's isomorphism class."""
+    pos = {x: i for i, x in enumerate(_least_encoding(p)[1])}
     return FinitePoset(p.n, frozenset((pos[lo], pos[hi]) for lo, hi in p.covers))
 
 

@@ -49,14 +49,6 @@ class NotACover(EsakiaError):
     """A family expected to cover the carrier does not."""
 
 
-class NotOrderOpen(EsakiaError):
-    """A cover member is not order-open."""
-
-    def __init__(self, index: int):
-        super().__init__(f"cover member {index} is not order-open")
-        self.index = index
-
-
 class NotOpenAtLevel(EsakiaError):
     """A set is not open in the staged topology at the requested level."""
 

@@ -6,7 +6,7 @@ bitmask tables cached on :class:`FinitePoset` are the internal fast path.
 
 from collections.abc import Iterable
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 from ._bits import bits, full_mask, mask_of, points_of
 from .errors import (
@@ -17,7 +17,6 @@ from .errors import (
     NotAChain,
     NotACover,
     NotATree,
-    NotOrderOpen,
 )
 
 ORDER_OPEN_CAP = 16
@@ -399,36 +398,18 @@ def upsets_of(p: FinitePoset) -> tuple[frozenset[int], ...]:
 
 # -- order-open machinery --------------------------------------------------
 
-@lru_cache(maxsize=None)
 def order_open_masks(p: FinitePoset) -> frozenset[int]:
     """Least family containing singleton complements, closed under the two
     blur operators, finite intersections and arbitrary unions, as masks.
 
-    Materialized as an explicit worklist fixpoint over the powerset; exact by
-    construction and capped at carriers of 16 points.  On a finite carrier
-    the fixpoint saturates to the full powerset (every subset is a finite
-    intersection of singleton complements), which the loop detects early.
+    On a finite carrier every subset is a finite intersection of singleton
+    complements, so the family is the full powerset of 2^n members; its
+    output is capped at carriers of 16 points.
     """
     if p.n > ORDER_OPEN_CAP:
-        raise CarrierTooLarge(f"order-open family capped at {ORDER_OPEN_CAP} points")
-    full = p.full
-    fam = {full, 0}
-    fam.update(full ^ (1 << x) for x in range(p.n))
-    target = 1 << p.n
-    work = list(fam)
-    while work and len(fam) < target:
-        u = work.pop()
-        fresh = [full ^ p.up_of_mask(full ^ u), full ^ p.down_of_mask(full ^ u)]
-        for w in list(fam):
-            fresh.append(u & w)
-            fresh.append(u | w)
-        for v in fresh:
-            if v not in fam:
-                fam.add(v)
-                work.append(v)
-                if len(fam) >= target:
-                    break
-    return frozenset(fam)
+        raise CarrierTooLarge(
+            f"order-open family has 2^{p.n} members; capped at {ORDER_OPEN_CAP} points")
+    return frozenset(range(1 << p.n))
 
 
 def order_open_family(p: FinitePoset) -> list[frozenset[int]]:
@@ -440,22 +421,21 @@ def interval_complement_order_open(p: FinitePoset, ys: Iterable[int],
                                    zs: Iterable[int]) -> bool:
     """Whether the complement of upset(ys) ∩ downset(zs) is order-open.
 
-    Holds for every finite poset and all finite ys, zs; kept as a test hook.
+    Every subset of a finite carrier is order-open, so this holds for all
+    point sets ys, zs of p; points outside the carrier raise ValueError.
     """
-    band = p.up_of_mask(check_points(p, ys)) & p.down_of_mask(check_points(p, zs))
-    return (p.full ^ band) in order_open_masks(p)
+    check_points(p, ys)
+    check_points(p, zs)
+    return True
 
 
 def order_subcover(p: FinitePoset, cover: list[frozenset[int]]) -> list[frozenset[int]]:
     """Greedy finite subcover of an order-open cover (largest set first,
-    then smallest index; members contributing no new points are skipped)."""
-    family = order_open_masks(p)
-    masks = []
-    for i, s in enumerate(cover):
-        m = check_points(p, s)
-        if m not in family:
-            raise NotOrderOpen(i)
-        masks.append(m)
+    then smallest index; members contributing no new points are skipped).
+
+    Every subset of a finite carrier is order-open, so members are only
+    checked to lie inside the carrier."""
+    masks = [check_points(p, s) for s in cover]
     union = 0
     for m in masks:
         union |= m

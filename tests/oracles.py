@@ -3,14 +3,15 @@
 Everything here deliberately avoids the production code paths it checks:
 labeled-poset enumeration backtracks over pair states, prime filters are
 found by filtering all upsets through the definition, openness oracles
-materialize full open-set families, and witness feasibility is an
-exhaustive scan.
+materialize full open-set families, the order-open family is a worklist
+fixpoint, and witness feasibility is an exhaustive scan.
 """
 
 import itertools
 
 from esakia._bits import bits, full_mask, mask_of, subsets
-from esakia.posets import FinitePoset, from_relation, upset_masks
+from esakia.errors import CarrierTooLarge
+from esakia.posets import ORDER_OPEN_CAP, FinitePoset, from_relation, upset_masks
 
 
 def labeled_posets(n: int):
@@ -157,6 +158,37 @@ def all_opens(t) -> set[int]:
 
 def downset_open_for_all_opens(p: FinitePoset, t) -> bool:
     return all(t.is_open_mask(p.down_of_mask(u)) for u in all_opens(t))
+
+
+def order_open_fixpoint(p: FinitePoset) -> frozenset[int]:
+    """Least family containing singleton complements, closed under the two
+    blur operators, finite intersections and arbitrary unions, as masks.
+
+    Materialized as an explicit worklist fixpoint over the powerset; exact by
+    construction and capped at carriers of 16 points.  On a finite carrier
+    the fixpoint saturates to the full powerset (every subset is a finite
+    intersection of singleton complements), which the loop detects early.
+    """
+    if p.n > ORDER_OPEN_CAP:
+        raise CarrierTooLarge(f"order-open family capped at {ORDER_OPEN_CAP} points")
+    full = p.full
+    fam = {full, 0}
+    fam.update(full ^ (1 << x) for x in range(p.n))
+    target = 1 << p.n
+    work = list(fam)
+    while work and len(fam) < target:
+        u = work.pop()
+        fresh = [full ^ p.up_of_mask(full ^ u), full ^ p.down_of_mask(full ^ u)]
+        for w in list(fam):
+            fresh.append(u & w)
+            fresh.append(u | w)
+        for v in fresh:
+            if v not in fam:
+                fam.add(v)
+                work.append(v)
+                if len(fam) >= target:
+                    break
+    return frozenset(fam)
 
 
 def cone_feasible_set(st, x: int, alpha: int, target_mask: int) -> set:

@@ -1,9 +1,13 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 
+import esakia
 from esakia.cli import run_command
 from esakia.constructions import gallery, staged_topology
 from esakia.documents import (
@@ -183,6 +187,16 @@ class TestCli:
     def test_gallery_unknown_exits_one(self):
         _, code = run_command(["gallery", "figure7", "2"])
         assert code == 1
+
+    def test_module_entry_point(self):
+        src = str(Path(esakia.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out = subprocess.run(
+            [sys.executable, "-m", "esakia.cli", "gallery", "figure2", "3"],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert out.returncode == 0
+        assert json.loads(out.stdout)["command"] == "gallery"
 
     def test_export_dot_with_topology(self, tmp_path, zoo):
         path = write(tmp_path, "c2.json", emit_poset(zoo["chain2"]))

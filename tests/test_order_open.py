@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 
 from esakia.errors import CarrierTooLarge, NotACover
+from esakia.generators import enumerate_posets
 from esakia.posets import (
     FinitePoset,
     interval_complement_order_open,
@@ -13,7 +14,7 @@ from esakia.posets import (
 )
 
 from conftest import posets
-from oracles import antichain_poset, chain_poset, fs
+from oracles import antichain_poset, chain_poset, fs, order_open_fixpoint
 
 
 class TestOrderOpenFamily:
@@ -27,12 +28,13 @@ class TestOrderOpenFamily:
     def test_antichain2_all_subsets(self):
         assert len(order_open_family(antichain_poset(2))) == 4
 
-    @given(posets(max_n=5))
-    @settings(max_examples=30, deadline=None)
-    def test_family_saturates_to_powerset(self, p):
+    def test_family_saturates_to_powerset(self):
         # On a finite carrier every subset is a finite intersection of
         # singleton complements, so the least family is the full powerset.
-        assert order_open_masks(p) == frozenset(range(1 << p.n))
+        for n in range(1, 7):
+            for p in enumerate_posets(n):
+                assert order_open_masks(p) == order_open_fixpoint(p)
+                assert order_open_masks(p) == frozenset(range(1 << p.n))
 
     def test_cap(self):
         big = FinitePoset(17, frozenset())
@@ -49,6 +51,12 @@ class TestIntervalComplements:
 
     def test_chain3_band(self):
         assert interval_complement_order_open(chain_poset(3), fs(0), fs(2))
+
+    def test_point_outside_carrier(self):
+        with pytest.raises(ValueError):
+            interval_complement_order_open(chain_poset(2), fs(2), fs())
+        with pytest.raises(ValueError):
+            interval_complement_order_open(chain_poset(2), fs(), fs(0, 5))
 
     @given(posets(max_n=4))
     @settings(max_examples=30, deadline=None)
@@ -73,9 +81,13 @@ class TestOrderSubcover:
         with pytest.raises(NotACover):
             order_subcover(chain_poset(2), [fs(0)])
 
+    def test_point_outside_carrier(self):
+        with pytest.raises(ValueError):
+            order_subcover(chain_poset(2), [fs(0, 1), fs(2)])
+
     def test_members_validated(self):
-        # every subset of a finite poset is order-open, so the validation
-        # path is exercised against the materialized family
+        # every subset of a finite poset is order-open, so members inside
+        # the carrier are always accepted
         p = chain_poset(2)
         out = order_subcover(p, [fs(1), fs(0)])
         assert out == [fs(1), fs(0)] or out == [fs(0), fs(1)]
