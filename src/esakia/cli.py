@@ -18,6 +18,7 @@ from .algebra import lattice_of_sets, spectrum, upset_algebra
 from .duality import double_dual_lattice, double_dual_poset, horn_verify, poset_isomorphism
 from .errors import EsakiaError, NonHasseEdge, CycleError, ParseError
 from .posets import (
+    ORDER_OPEN_CAP,
     FinitePoset,
     has_enough_gaps,
     heights,
@@ -70,8 +71,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 # -- shared property suite ---------------------------------------------------
 
+def _skip(report: docs.Report, suite: str, cap: int):
+    report.data.setdefault("skipped", []).append(
+        {"suite": suite, "cap": cap, "detail": f"carriers above {cap} points"})
+
+
 def _suite_order_open(p: FinitePoset, report: docs.Report, rng: random.Random):
-    if p.n > 12:
+    if p.n > ORDER_OPEN_CAP:
+        _skip(report, "order-open", ORDER_OPEN_CAP)
         return
     masks = sorted(order_open_masks(p))
     report.add("order-open-family-is-powerset", len(masks) == 1 << p.n)
@@ -95,6 +102,7 @@ def _suite_order_open(p: FinitePoset, report: docs.Report, rng: random.Random):
 
 def _suite_duality(p: FinitePoset, report: docs.Report):
     if p.n > VERIFY_ALGEBRA_CAP:
+        _skip(report, "duality", VERIFY_ALGEBRA_CAP)
         return
     try:
         double_dual_poset(p)
@@ -341,10 +349,14 @@ def cmd_verify(args) -> docs.Report:
     return report
 
 
+def _fuzz_seed(args) -> int:
+    if args.seed is not None:
+        return args.seed
+    return int(os.environ.get("ESAKIA_SEED", "0"))
+
+
 def cmd_fuzz(args) -> docs.Report:
-    seed = args.seed
-    if seed is None:
-        seed = int(os.environ.get("ESAKIA_SEED", "0"))
+    seed = _fuzz_seed(args)
     report = docs.Report("fuzz", f"seed={seed}")
     rng = random.Random(f"fuzz:{seed}")
     qdir = Path(args.quarantine)
@@ -412,6 +424,21 @@ _HANDLERS = {
 }
 
 
+def _input_digest(args) -> str:
+    """The digest the command's report carries on success, for error
+    reports: the digest of the input file(s) as read, the gallery call or
+    the fuzz seed; empty when an input file cannot be read."""
+    if args.command == "gallery":
+        return f"{args.name}({args.n})"
+    if args.command == "fuzz":
+        return f"seed={_fuzz_seed(args)}"
+    paths = [args.file] + ([args.cover] if args.command == "subcover" else [])
+    try:
+        return docs.digest("".join(_read(path) for path in paths))
+    except OSError:
+        return ""
+
+
 def run_command(argv: list[str]) -> tuple[docs.Report, int]:
     parser = build_parser()
     try:
@@ -423,11 +450,11 @@ def run_command(argv: list[str]) -> tuple[docs.Report, int]:
     try:
         report = _HANDLERS[args.command](args)
     except (ParseError, CycleError, NonHasseEdge, OSError) as e:
-        report = docs.Report(args.command, "")
+        report = docs.Report(args.command, _input_digest(args))
         report.add("input-readable", False, f"{type(e).__name__}: {e}")
         return report, 2
     except EsakiaError as e:
-        report = docs.Report(args.command, "")
+        report = docs.Report(args.command, _input_digest(args))
         report.add(args.command, False, f"{type(e).__name__}: {e}")
         return report, 1
     return report, 0 if report.ok else 1

@@ -25,7 +25,7 @@ from .errors import (
     UnknownName,
 )
 from .posets import FinitePoset, HeightProfile, heights, is_root_system, is_tree
-from .topology import FiniteTopology, generate_base, intersection_closure, union_closure
+from .topology import FiniteTopology, generate_base, union_closure
 
 V_ENUMERATION_CAP = 4096
 
@@ -117,6 +117,8 @@ class StagedTopology:
         self.v_modes: dict[int, str] = v_modes
         self.final: FiniteTopology = final
         self._climbs: dict[int, tuple[int, ...]] = {}
+        self._mask_sets: dict[int, frozenset[int]] = {
+            a: frozenset(e.mask for e in es) for a, es in entries.items()}
 
     @property
     def height(self) -> int:
@@ -141,7 +143,8 @@ class StagedTopology:
         return [e.points for e in self.subbase_entries(alpha)]
 
     def subbase_mask_set(self, alpha: int) -> frozenset[int]:
-        return frozenset(e.mask for e in self.subbase_entries(alpha))
+        self._check_level(alpha)
+        return self._mask_sets[alpha]
 
     def base_entries(self, alpha: int) -> list[tuple[int, tuple[int, ...]]]:
         """Level base as (mask, subbase-index decomposition), smallest first."""
@@ -199,9 +202,13 @@ def staged_topology(p: FinitePoset, plus_choice: dict[int, int] | None = None,
     Per successor level: covered level elements get a chosen upper cover
     (smallest index unless plus_choice overrides), the uncovered new points
     become isolated singletons, and the subbase gains the three families.
-    The lifted family ranges over every open of the previous level whenever
-    the union closure stays within v_cap distinct sets; otherwise it falls
-    back to base elements plus pairwise unions and the level is flagged
+    Each level's base is the intersection closure of its subbase, with the
+    subbase indices of one decomposition per element; its opens are the
+    unions of the points' least neighbourhoods, and the top level's base is
+    the final topology's base.  The lifted family ranges over every open of
+    the previous level whenever that family has at most v_cap distinct sets
+    (or no more than the level's base holds); otherwise it falls back to
+    base elements plus pairwise unions and the level is flagged
     "restricted".
     """
     if not is_tree(p):
@@ -294,11 +301,22 @@ def staged_topology(p: FinitePoset, plus_choice: dict[int, int] | None = None,
         bases[next_level] = sorted(
             ((m, prov) for m, prov in base_prov.items()),
             key=lambda it: (it[0].bit_count(), it[0]))
-        closure = union_closure([m for m, _ in bases[next_level]], cap=v_cap)
+        # every open is a union of least neighbourhoods; on this closed base,
+        # sorted by size, a point's least neighbourhood is the first element
+        # containing it.  A family no larger than the base, already held, is
+        # never refused.
+        nbhds = {}
+        assigned = 0
+        for bm, _ in bases[next_level]:
+            if bm & ~assigned:
+                nbhds[bm] = None
+                assigned |= bm
+        held = len(base_prov) + (0 not in base_prov)
+        closure = union_closure(list(nbhds), cap=max(v_cap, held))
         opens[next_level] = None if closure is None else frozenset(closure)
 
     final_subbase = [e.points for e in entries[h]]
-    final_base = sorted(intersection_closure([e.mask for e in entries[h]], prof.le_mask(h)))
+    final_base = sorted(m for m, _ in bases[h])
     final = FiniteTopology(p.n, tuple(final_subbase),
                            tuple(points_of(m) for m in final_base))
     st = StagedTopology(p, prof, choice, p_sets, s_sets, entries, bases,
@@ -629,11 +647,12 @@ def separation_witness(st: StagedTopology, x: int, y: int) -> frozenset[int]:
 
 
 def downset_open_check(st: StagedTopology) -> bool:
-    """Downsets of all final base elements are open, and the principal
+    """Downsets of all final base elements are open (checked on the minimal
+    ones, of which every base element is a union), and the principal
     downset of every non-maximal point is itself a final subbase member."""
     tree = st.tree
     t = st.final
-    if not all(t.is_open_mask(tree.down_of_mask(b)) for b in t.base_masks):
+    if not all(t.is_open_mask(tree.down_of_mask(b)) for b in t.minimal_base_masks()):
         return False
     top_masks = st.subbase_mask_set(st.height)
     for x in range(tree.n):

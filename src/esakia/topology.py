@@ -3,8 +3,10 @@ separation decision procedures.
 
 A topology is held as subbase + derived base (all finite intersections of
 subbase members, the empty intersection being the full carrier).  Open-set
-families are never materialized here; openness is decided pointwise against
-the base, which stays polynomial in the base size.
+families are never materialized here.  A finite topology is fixed by each
+point's least open neighbourhood (Alexandrov 1937; McCord 1966), so openness,
+discreteness and the Esakia check read a per-point table of the ⊆-minimal
+base elements containing the point, built once per topology.
 """
 
 from dataclasses import dataclass
@@ -35,14 +37,51 @@ class FiniteTopology:
     def full(self) -> int:
         return full_mask(self.carrier_size)
 
+    @cached_property
+    def neighbourhoods(self) -> tuple[tuple[int, ...], ...]:
+        """Per point, the ⊆-minimal base elements containing it.
+
+        On an intersection-closed base that is one set, the least open
+        neighbourhood N[x]; a raw base may give a point several.  Scanning
+        the base by size, a set is minimal for x when no minimal set of x
+        found so far lies inside it.
+        """
+        masks = sorted(dict.fromkeys(self.base_masks), key=int.bit_count)
+        table = []
+        for x in range(self.carrier_size):
+            bit = 1 << x
+            mins = []
+            for b in masks:
+                if b & bit:
+                    for nb in mins:
+                        if not nb & ~b:
+                            break
+                    else:
+                        mins.append(b)
+            table.append(tuple(mins))
+        return tuple(table)
+
+    def minimal_base_masks(self) -> set[int]:
+        """The base elements minimal at some point: every base element is a
+        union of them."""
+        return {nb for nbs in self.neighbourhoods for nb in nbs}
+
     def is_open_mask(self, m: int) -> bool:
-        remaining = m
-        for b in self.base_masks:
-            if b & m and not (b & ~m):
-                remaining &= ~b
-                if not remaining:
-                    return True
-        return not remaining
+        """m is open iff each of its points has a minimal base element inside
+        m; the points of such an element need no test of their own."""
+        if m >> self.carrier_size:
+            return False
+        nbhds = self.neighbourhoods
+        rest = m
+        while rest:
+            x = (rest & -rest).bit_length() - 1
+            for nb in nbhds[x]:
+                if not nb & ~m:
+                    rest &= ~nb
+                    break
+            else:
+                return False
+        return True
 
 
 def intersection_closure(masks: list[int], full: int) -> list[int]:
@@ -128,7 +167,8 @@ def is_open(t: FiniteTopology, s) -> bool:
 
 
 def is_discrete(t: FiniteTopology) -> bool:
-    return all(t.is_open_mask(1 << x) for x in range(t.carrier_size))
+    """Every singleton is a base element, hence each point's only minimal one."""
+    return all(nbs == (1 << x,) for x, nbs in enumerate(t.neighbourhoods))
 
 
 def subbase_subcover(t: FiniteTopology, cover: list[int]) -> list[int]:
@@ -191,8 +231,9 @@ def priestley_check(p: FinitePoset, t: FiniteTopology) -> PriestleyReport:
 
 
 def esakia_check(p: FinitePoset, t: FiniteTopology) -> bool:
-    """Priestley separation plus openness of the downset of every base
-    element (downsets commute with unions, so the base suffices)."""
+    """Priestley separation plus openness of the downset of every minimal
+    base element (every open is a union of them, and downsets commute with
+    unions, so they suffice)."""
     if not priestley_check(p, t).holds:
         return False
-    return all(t.is_open_mask(p.down_of_mask(b)) for b in t.base_masks)
+    return all(t.is_open_mask(p.down_of_mask(b)) for b in t.minimal_base_masks())

@@ -2,9 +2,9 @@
 
 Everything here deliberately avoids the production code paths it checks:
 labeled-poset enumeration backtracks over pair states, prime filters are
-found by filtering all upsets through the definition, openness oracles
-materialize full open-set families, the order-open family is a worklist
-fixpoint, and witness feasibility is an exhaustive scan.
+found by filtering all upsets through the definition, openness oracles scan
+the whole base or materialize full open-set families, the order-open family
+is a worklist fixpoint, and witness feasibility is an exhaustive scan.
 """
 
 import itertools
@@ -146,6 +146,18 @@ def implication_by_max_scan(lat, b: int, c: int) -> int:
     maxes = [m for m in s if all(lat.leq(a, m) for a in s)]
     assert len(maxes) == 1, "candidate set must have a unique maximum"
     return maxes[0]
+
+
+def is_open_by_base_scan(t, m: int) -> bool:
+    """Openness by scanning the whole base: m is open iff the base elements
+    inside m cover it."""
+    remaining = m
+    for b in t.base_masks:
+        if b & m and not (b & ~m):
+            remaining &= ~b
+            if not remaining:
+                return True
+    return not remaining
 
 
 def all_opens(t) -> set[int]:

@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given, settings
 
 import esakia
-from esakia.cli import run_command
+from esakia.cli import VERIFY_ALGEBRA_CAP, run_command
 from esakia.constructions import gallery, staged_topology
 from esakia.documents import (
+    digest,
     emit_poset,
     export_dot,
     parse_lattice,
@@ -19,7 +20,7 @@ from esakia.documents import (
     topology_to_document,
 )
 from esakia.errors import CycleError, NonHasseEdge, ParseError
-from esakia.posets import FinitePoset
+from esakia.posets import ORDER_OPEN_CAP, FinitePoset
 
 from conftest import posets
 
@@ -152,6 +153,7 @@ class TestCli:
         path = write(tmp_path, "v.json", emit_poset(zoo["vee"]))
         report, code = run_command(["verify", path])
         assert code == 0 and report.ok
+        assert "skipped" not in report.data
 
     def test_subcover_golden(self, tmp_path, zoo):
         ppath = write(tmp_path, "c2.json", emit_poset(zoo["chain2"]))
@@ -173,8 +175,8 @@ class TestCli:
         assert code == 2
 
     def test_missing_file_exits_two(self):
-        _, code = run_command(["check", "/definitely/not/here.json"])
-        assert code == 2
+        report, code = run_command(["check", "/definitely/not/here.json"])
+        assert code == 2 and report.input_digest == ""
 
     def test_usage_error_exits_two(self):
         _, code = run_command(["frobnicate"])
@@ -185,8 +187,40 @@ class TestCli:
         assert code == 0 and report.data["recognizers"]["tree"]
 
     def test_gallery_unknown_exits_one(self):
-        _, code = run_command(["gallery", "figure7", "2"])
+        report, code = run_command(["gallery", "figure7", "2"])
         assert code == 1
+        assert report.input_digest == "figure7(2)"  # the success path's digest
+
+    def test_error_report_keeps_file_digest(self, tmp_path):
+        text = '{"elements":["r","a"],"covers":[["r","a"],["a","r"]]}'
+        path = write(tmp_path, "cyclic.json", text)
+        report, code = run_command(["verify", path])
+        assert code == 2 and report.input_digest == digest(text)
+        assert report.verdicts[0].name == "input-readable"
+
+    def test_verify_reports_order_open_past_twelve_points(self, tmp_path):
+        p = gallery("figure1", 12)
+        assert p.n == 13
+        path = write(tmp_path, "f1.json", emit_poset(p))
+        report, code = run_command(["verify", path])
+        assert code == 0
+        verdicts = {v.name: v.passed for v in report.verdicts}
+        for name in ("order-open-family-is-powerset", "interval-complements-order-open",
+                     "order-subcover-covers"):
+            assert verdicts[name]
+        assert "double-dual-poset-canonical" not in verdicts
+        assert report.data["skipped"] == [
+            {"suite": "duality", "cap": VERIFY_ALGEBRA_CAP,
+             "detail": f"carriers above {VERIFY_ALGEBRA_CAP} points"}]
+
+    def test_verify_names_both_skipped_suites_past_sixteen_points(self, tmp_path):
+        # an N shape beside 13 isolated points: neither a tree nor a root system
+        p = FinitePoset(17, frozenset({(0, 2), (1, 2), (1, 3)}))
+        path = write(tmp_path, "n17.json", emit_poset(p))
+        report, code = run_command(["verify", path])
+        assert code == 0
+        assert [(s["suite"], s["cap"]) for s in report.data["skipped"]] == [
+            ("order-open", ORDER_OPEN_CAP), ("duality", VERIFY_ALGEBRA_CAP)]
 
     def test_module_entry_point(self):
         src = str(Path(esakia.__file__).resolve().parents[1])

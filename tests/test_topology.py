@@ -80,6 +80,9 @@ class TestIsOpen:
         # pointwise decision finds no witness inside {1}
         t = FiniteTopology(3, (fs(0, 1), fs(1, 2)), (fs(0, 1), fs(1, 2), fs(0, 1, 2)))
         assert not t.is_open_mask(0b010)
+        # point 1 has two minimal base elements, either of which suffices
+        assert t.neighbourhoods == ((0b011,), (0b011, 0b110), (0b110,))
+        assert t.is_open_mask(0b011) and t.is_open_mask(0b110)
 
     @given(posets(max_n=6), st.integers(0, 2**20))
     @settings(max_examples=40, deadline=None)
