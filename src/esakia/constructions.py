@@ -25,7 +25,7 @@ from .errors import (
     UnknownName,
 )
 from .posets import FinitePoset, HeightProfile, heights, is_root_system, is_tree
-from .topology import FiniteTopology, generate_base, union_closure
+from .topology import FiniteTopology, generate_base, least_neighbourhoods, union_closure
 
 V_ENUMERATION_CAP = 4096
 
@@ -105,7 +105,7 @@ class StagedTopology:
     """
 
     def __init__(self, tree, profile, plus_choice, p_sets, s_sets, entries,
-                 bases, opens, v_modes, final):
+                 bases, nbhds, opens, v_modes, final):
         self.tree: FinitePoset = tree
         self.profile: HeightProfile = profile
         self.plus_choice: dict[int, int] = plus_choice
@@ -113,6 +113,7 @@ class StagedTopology:
         self.s_sets: dict[int, frozenset[int]] = s_sets
         self._entries: dict[int, list[SubbaseEntry]] = entries
         self._bases: dict[int, list[tuple[int, tuple[int, ...]]]] = bases
+        self._nbhds: dict[int, tuple[int, ...]] = nbhds
         self._opens: dict[int, frozenset[int] | None] = opens
         self.v_modes: dict[int, str] = v_modes
         self.final: FiniteTopology = final
@@ -163,11 +164,8 @@ class StagedTopology:
         ops = self._opens[alpha]
         if ops is not None:
             return mask in ops
-        remaining = mask
-        for bm, _ in self._bases[alpha]:
-            if bm & mask and not bm & ~mask:
-                remaining &= ~bm
-        return not remaining
+        nbhds = self._nbhds[alpha]
+        return not any(nbhds[x] & ~mask for x in bits(mask))
 
     def _check_level(self, alpha: int):
         if not 0 <= alpha <= self.height:
@@ -204,12 +202,13 @@ def staged_topology(p: FinitePoset, plus_choice: dict[int, int] | None = None,
     become isolated singletons, and the subbase gains the three families.
     Each level's base is the intersection closure of its subbase, with the
     subbase indices of one decomposition per element; its opens are the
-    unions of the points' least neighbourhoods, and the top level's base is
-    the final topology's base.  The lifted family ranges over every open of
-    the previous level whenever that family has at most v_cap distinct sets
-    (or no more than the level's base holds); otherwise it falls back to
-    base elements plus pairwise unions and the level is flagged
-    "restricted".
+    unions of its points' least neighbourhoods (the intersection of the
+    level's subbase members containing the point), and the final topology
+    is generated by the top level's subbase.  The lifted family ranges over
+    every open of the previous level whenever that family has at most v_cap
+    distinct sets (or no more than the level's base holds); otherwise it
+    falls back to base elements plus pairwise unions and the level is
+    flagged "restricted".
     """
     if not is_tree(p):
         raise NotATree("staged construction requires a tree")
@@ -222,6 +221,7 @@ def staged_topology(p: FinitePoset, plus_choice: dict[int, int] | None = None,
     choice: dict[int, int] = {}
     entries: dict[int, list[SubbaseEntry]] = {0: []}
     bases: dict[int, list[tuple[int, tuple[int, ...]]]] = {0: [(1 << root, ())]}
+    nbhds: dict[int, tuple[int, ...]] = {0: least_neighbourhoods((), 1 << root)}
     opens: dict[int, frozenset[int] | None] = {0: frozenset({0, 1 << root})}
     v_modes: dict[int, str] = {}
 
@@ -301,26 +301,16 @@ def staged_topology(p: FinitePoset, plus_choice: dict[int, int] | None = None,
         bases[next_level] = sorted(
             ((m, prov) for m, prov in base_prov.items()),
             key=lambda it: (it[0].bit_count(), it[0]))
-        # every open is a union of least neighbourhoods; on this closed base,
-        # sorted by size, a point's least neighbourhood is the first element
-        # containing it.  A family no larger than the base, already held, is
-        # never refused.
-        nbhds = {}
-        assigned = 0
-        for bm, _ in bases[next_level]:
-            if bm & ~assigned:
-                nbhds[bm] = None
-                assigned |= bm
+        # every open is a union of least neighbourhoods.  A family no larger
+        # than the base, already held, is never refused.
+        nbhds[next_level] = least_neighbourhoods([e.mask for e in entry_list], le_next)
         held = len(base_prov) + (0 not in base_prov)
-        closure = union_closure(list(nbhds), cap=max(v_cap, held))
+        closure = union_closure(nbhds[next_level], cap=max(v_cap, held))
         opens[next_level] = None if closure is None else frozenset(closure)
 
-    final_subbase = [e.points for e in entries[h]]
-    final_base = sorted(m for m, _ in bases[h])
-    final = FiniteTopology(p.n, tuple(final_subbase),
-                           tuple(points_of(m) for m in final_base))
+    final = FiniteTopology(p.n, tuple(e.points for e in entries[h]))
     st = StagedTopology(p, prof, choice, p_sets, s_sets, entries, bases,
-                        opens, v_modes, final)
+                        nbhds, opens, v_modes, final)
     for x in range(p.n):  # fill the climb table: instances stay immutable
         st.climb_values(x)
     return st
@@ -647,12 +637,12 @@ def separation_witness(st: StagedTopology, x: int, y: int) -> frozenset[int]:
 
 
 def downset_open_check(st: StagedTopology) -> bool:
-    """Downsets of all final base elements are open (checked on the minimal
-    ones, of which every base element is a union), and the principal
+    """Downsets of all final opens are open (checked on the least
+    neighbourhoods, of which every open is a union), and the principal
     downset of every non-maximal point is itself a final subbase member."""
     tree = st.tree
     t = st.final
-    if not all(t.is_open_mask(tree.down_of_mask(b)) for b in t.minimal_base_masks()):
+    if not all(t.is_open_mask(tree.down_of_mask(nb)) for nb in set(t.neighbourhoods)):
         return False
     top_masks = st.subbase_mask_set(st.height)
     for x in range(tree.n):

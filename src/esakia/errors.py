@@ -42,7 +42,9 @@ class CarrierTooLarge(EsakiaError):
 # --- topology layer ---
 
 class OversizeSubbase(EsakiaError):
-    """Subbase too large for public base generation (closure may be exponential)."""
+    """Subbase over the public cap of distinct sets: `verify` and `topologize`
+    enumerate the upsets and the clopen-upset lattice, which grow
+    exponentially with the number of points."""
 
 
 class NotACover(EsakiaError):

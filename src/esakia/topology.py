@@ -1,12 +1,12 @@
 """Finite topologies presented by subbases, with openness/compactness/
 separation decision procedures.
 
-A topology is held as subbase + derived base (all finite intersections of
-subbase members, the empty intersection being the full carrier).  Open-set
-families are never materialized here.  A finite topology is fixed by each
-point's least open neighbourhood (Alexandrov 1937; McCord 1966), so openness,
-discreteness and the Esakia check read a per-point table of the ⊆-minimal
-base elements containing the point, built once per topology.
+A topology is held as its subbase plus one derived table: each point's
+least open neighbourhood N[x], the intersection of the subbase members
+containing x (the full carrier when none does).  A finite topology is fixed
+by that table (Alexandrov 1937; McCord 1966): a set is open iff it holds
+the neighbourhood of each of its points, so no base closure or open-set
+family is ever materialized here.
 """
 
 from dataclasses import dataclass
@@ -16,100 +16,71 @@ from ._bits import full_mask, mask_of, points_of
 from .errors import NotACover, OversizeSubbase
 from .posets import FinitePoset, upset_masks
 
+# Public subbases are refused above this many distinct sets: `verify` and
+# `topologize` go on to enumerate the upsets and the clopen-upset lattice,
+# which grow exponentially with the number of points.
 PUBLIC_SUBBASE_CAP = 20
+
+
+def least_neighbourhoods(masks, carrier: int) -> tuple[int, ...]:
+    """Per point below carrier.bit_length(), the intersection of carrier and
+    every mask containing the point (0 for a point outside carrier)."""
+    table = []
+    for x in range(carrier.bit_length()):
+        nb = carrier if carrier >> x & 1 else 0
+        for m in masks:
+            if m >> x & 1:
+                nb &= m
+        table.append(nb)
+    return tuple(table)
 
 
 @dataclass(frozen=True)
 class FiniteTopology:
     carrier_size: int
     subbase: tuple[frozenset[int], ...]
-    base: tuple[frozenset[int], ...]
 
     @cached_property
     def subbase_masks(self) -> tuple[int, ...]:
         return tuple(mask_of(s) for s in self.subbase)
-
-    @cached_property
-    def base_masks(self) -> tuple[int, ...]:
-        return tuple(mask_of(b) for b in self.base)
 
     @property
     def full(self) -> int:
         return full_mask(self.carrier_size)
 
     @cached_property
-    def neighbourhoods(self) -> tuple[tuple[int, ...], ...]:
-        """Per point, the ⊆-minimal base elements containing it.
+    def neighbourhoods(self) -> tuple[int, ...]:
+        """Per point x, N[x]: the least open set containing x."""
+        return least_neighbourhoods(self.subbase_masks, self.full)
 
-        On an intersection-closed base that is one set, the least open
-        neighbourhood N[x]; a raw base may give a point several.  Scanning
-        the base by size, a set is minimal for x when no minimal set of x
-        found so far lies inside it.
-        """
-        masks = sorted(dict.fromkeys(self.base_masks), key=int.bit_count)
-        table = []
-        for x in range(self.carrier_size):
-            bit = 1 << x
-            mins = []
-            for b in masks:
-                if b & bit:
-                    for nb in mins:
-                        if not nb & ~b:
-                            break
-                    else:
-                        mins.append(b)
-            table.append(tuple(mins))
-        return tuple(table)
-
-    def minimal_base_masks(self) -> set[int]:
-        """The base elements minimal at some point: every base element is a
-        union of them."""
-        return {nb for nbs in self.neighbourhoods for nb in nbs}
+    @cached_property
+    def base(self) -> tuple[frozenset[int], ...]:
+        """The least base: the distinct least neighbourhoods, by mask."""
+        return tuple(points_of(m) for m in sorted(set(self.neighbourhoods)))
 
     def is_open_mask(self, m: int) -> bool:
-        """m is open iff each of its points has a minimal base element inside
-        m; the points of such an element need no test of their own."""
+        """m is open iff it holds N[x] for each of its points x; the points
+        of an N[x] found inside m need no test of their own."""
         if m >> self.carrier_size:
             return False
         nbhds = self.neighbourhoods
         rest = m
         while rest:
-            x = (rest & -rest).bit_length() - 1
-            for nb in nbhds[x]:
-                if not nb & ~m:
-                    rest &= ~nb
-                    break
-            else:
+            nb = nbhds[(rest & -rest).bit_length() - 1]
+            if nb & ~m:
                 return False
+            rest &= ~nb
         return True
 
 
-def intersection_closure(masks: list[int], full: int) -> list[int]:
-    """All intersections of finite subfamilies (empty subfamily -> full),
-    deduplicated, by worklist over pairwise intersections with generators."""
-    seen = {full}
-    out = [full]
-    work = []
-    for m in masks:
-        if m not in seen:
-            seen.add(m)
-            out.append(m)
-            work.append(m)
-    gens = list(dict.fromkeys(masks))
-    while work:
-        u = work.pop()
-        for g in gens:
-            v = u & g
-            if v not in seen:
-                seen.add(v)
-                out.append(v)
-                work.append(v)
-    return out
-
-
 def union_closure(masks: list[int], cap: int | None = None) -> list[int] | None:
-    """All unions of subfamilies (empty -> 0), deduplicated; None when the
-    closure would exceed cap distinct sets."""
+    """All unions of subfamilies (empty -> 0), deduplicated.
+
+    Only added unions are refused: the result is None when a union that is
+    neither 0 nor a generator would take the family past cap distinct sets.
+    0 and the generators are never refused, so a union-closed family comes
+    back whole whatever its size.
+    """
     seen = {0}
     out = [0]
     work = []
@@ -132,34 +103,23 @@ def union_closure(masks: list[int], cap: int | None = None) -> list[int] | None:
     return out
 
 
-def generate_base(subbase: list[frozenset[int]], carrier_size: int,
-                  max_subbase: int | None = PUBLIC_SUBBASE_CAP) -> FiniteTopology:
-    """Topology from a subbase: base = all finite intersections, deduplicated.
+def generate_base(subbase: list[frozenset[int]], carrier_size: int) -> FiniteTopology:
+    """Topology generated by a subbase, its members deduplicated in order.
 
-    The public entry point refuses subbases over 20 distinct sets (the
-    closure can be exponential in the subbase on large carriers); internal
-    construction paths lift the cap, their carriers being small.
+    Subbases over PUBLIC_SUBBASE_CAP distinct sets are refused with
+    OversizeSubbase.
     """
-    full = full_mask(carrier_size)
-    masks = []
-    seen = set()
-    for s in subbase:
-        m = mask_of(s)
-        if m & ~full:
-            raise ValueError("subbase member exceeds the carrier")
-        if m not in seen:
-            seen.add(m)
-            masks.append(m)
-    if max_subbase is not None and len(masks) > max_subbase:
-        raise OversizeSubbase(f"{len(masks)} subbase sets exceed the cap of {max_subbase}")
-    base = sorted(intersection_closure(masks, full))
-    return FiniteTopology(carrier_size,
-                          tuple(points_of(m) for m in masks),
-                          tuple(points_of(m) for m in base))
+    masks = list(dict.fromkeys(mask_of(s) for s in subbase))
+    if any(m >> carrier_size for m in masks):
+        raise ValueError("subbase member exceeds the carrier")
+    if len(masks) > PUBLIC_SUBBASE_CAP:
+        raise OversizeSubbase(
+            f"{len(masks)} subbase sets exceed the cap of {PUBLIC_SUBBASE_CAP}")
+    return FiniteTopology(carrier_size, tuple(points_of(m) for m in masks))
 
 
 def is_open(t: FiniteTopology, s) -> bool:
-    """True iff every point of s has a base witness inside s."""
+    """True iff s holds the least neighbourhood of each of its points."""
     m = mask_of(s)
     if m & ~t.full:
         raise ValueError("point set exceeds the carrier")
@@ -167,8 +127,8 @@ def is_open(t: FiniteTopology, s) -> bool:
 
 
 def is_discrete(t: FiniteTopology) -> bool:
-    """Every singleton is a base element, hence each point's only minimal one."""
-    return all(nbs == (1 << x,) for x, nbs in enumerate(t.neighbourhoods))
+    """Every point is its own least neighbourhood."""
+    return all(nb == 1 << x for x, nb in enumerate(t.neighbourhoods))
 
 
 def subbase_subcover(t: FiniteTopology, cover: list[int]) -> list[int]:
@@ -231,9 +191,9 @@ def priestley_check(p: FinitePoset, t: FiniteTopology) -> PriestleyReport:
 
 
 def esakia_check(p: FinitePoset, t: FiniteTopology) -> bool:
-    """Priestley separation plus openness of the downset of every minimal
-    base element (every open is a union of them, and downsets commute with
+    """Priestley separation plus openness of the downset of every least
+    neighbourhood (every open is a union of them, and downsets commute with
     unions, so they suffice)."""
     if not priestley_check(p, t).holds:
         return False
-    return all(t.is_open_mask(p.down_of_mask(b)) for b in t.minimal_base_masks())
+    return all(t.is_open_mask(p.down_of_mask(nb)) for nb in set(t.neighbourhoods))

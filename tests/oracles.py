@@ -2,9 +2,10 @@
 
 Everything here deliberately avoids the production code paths it checks:
 labeled-poset enumeration backtracks over pair states, prime filters are
-found by filtering all upsets through the definition, openness oracles scan
-the whole base or materialize full open-set families, the order-open family
-is a worklist fixpoint, and witness feasibility is an exhaustive scan.
+found by filtering all upsets through the definition, openness oracles close
+the subbase under intersections and scan that whole base or materialize
+full open-set families, the order-open family is a worklist fixpoint, and
+witness feasibility is an exhaustive scan.
 """
 
 import itertools
@@ -148,11 +149,40 @@ def implication_by_max_scan(lat, b: int, c: int) -> int:
     return maxes[0]
 
 
-def is_open_by_base_scan(t, m: int) -> bool:
-    """Openness by scanning the whole base: m is open iff the base elements
+def intersection_closure(masks: list[int], full: int) -> list[int]:
+    """All intersections of finite subfamilies (empty subfamily -> full),
+    deduplicated, by worklist over pairwise intersections with generators."""
+    seen = {full}
+    out = [full]
+    work = []
+    for m in masks:
+        if m not in seen:
+            seen.add(m)
+            out.append(m)
+            work.append(m)
+    gens = list(dict.fromkeys(masks))
+    while work:
+        u = work.pop()
+        for g in gens:
+            v = u & g
+            if v not in seen:
+                seen.add(v)
+                out.append(v)
+                work.append(v)
+    return out
+
+
+def closed_base(t) -> list[int]:
+    """The base a topology's subbase generates: every finite intersection of
+    subbase members."""
+    return intersection_closure(list(t.subbase_masks), t.full)
+
+
+def is_open_by_base_scan(base: list[int], m: int) -> bool:
+    """Openness by scanning a whole base: m is open iff the base elements
     inside m cover it."""
     remaining = m
-    for b in t.base_masks:
+    for b in base:
         if b & m and not (b & ~m):
             remaining &= ~b
             if not remaining:
@@ -160,12 +190,17 @@ def is_open_by_base_scan(t, m: int) -> bool:
     return not remaining
 
 
-def all_opens(t) -> set[int]:
-    """Full open-set family: every union of base elements."""
+def unions(masks) -> set[int]:
+    """Every union of a subfamily of masks."""
     ops = {0}
-    for m in t.base_masks:
+    for m in masks:
         ops |= {m | o for o in ops}
     return ops
+
+
+def all_opens(t) -> set[int]:
+    """Full open-set family: every union of the closed base."""
+    return unions(closed_base(t))
 
 
 def downset_open_for_all_opens(p: FinitePoset, t) -> bool:

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from esakia.algebra import lattice_of_sets, spectrum
 from esakia.constructions import gallery, root_subbase, root_topology_check
 from esakia.duality import poset_isomorphism
-from esakia.errors import NotARootSystem, UnknownName
+from esakia.errors import NotARootSystem, OversizeSubbase, UnknownName
 from esakia.posets import FinitePoset, disjoint_union, is_root_system, is_tree, order_dual
 from esakia.topology import clopen_upsets, esakia_check, is_discrete
 
@@ -59,6 +59,16 @@ class TestRootTopology:
             assert is_root_system(p)
             topo = root_topology_check(p)
             assert is_discrete(topo) and esakia_check(p, topo)
+
+    def test_public_cap_boundary(self):
+        # figure 2 with k spokes has 2k + 4 subbase sets: 20 at 11 points,
+        # 22 at 12, past the public cap
+        p = gallery("figure2", 8)
+        assert p.n == 11 and is_discrete(root_topology_check(p))
+        p = gallery("figure2", 9)
+        assert p.n == 12
+        with pytest.raises(OversizeSubbase):
+            root_topology_check(p)
 
     @given(forests(max_n=6))
     @settings(max_examples=40, deadline=None)

@@ -1,28 +1,34 @@
 """Cross-checks of the least-neighbourhood decisions against the paths they
-replace: openness and discreteness by whole-base scan, level opens as unions
-of every base element, the final base as the intersection closure of the top
-subbase, and the restricted-level rule as the union closure of the whole
-level base."""
+replace: openness and discreteness by scanning the intersection closure of
+the subbase, level opens and bases as the unions and intersections of each
+level's subbase, and the restricted-level rule as the union closure of the
+whole level base."""
 
 import random
 from functools import lru_cache
 
 import pytest
 
-from esakia._bits import points_of
-from esakia.constructions import root_topology_check, staged_topology
-from esakia.generators import enumerate_posets, random_tree
+from esakia._bits import bits
+from esakia.constructions import gallery, root_subbase, root_topology_check, staged_topology
+from esakia.generators import enumerate_posets, random_root_system, random_tree
 from esakia.posets import is_root_system, is_tree
 from esakia.topology import (
     FiniteTopology,
     esakia_check,
-    intersection_closure,
     is_discrete,
     priestley_check,
     union_closure,
 )
 
-from oracles import all_opens, downset_open_for_all_opens, is_open_by_base_scan
+from oracles import (
+    closed_base,
+    downset_open_for_all_opens,
+    intersection_closure,
+    is_open_by_base_scan,
+    mask,
+    unions,
+)
 
 
 @lru_cache(maxsize=None)
@@ -34,16 +40,26 @@ def trees_upto(n: int):
     return [p for p in classes_upto(n) if is_tree(p)]
 
 
+def least_members(base: list[int], carrier: int) -> dict[int, int]:
+    """Per point of carrier, the ⊆-least element of a closed base holding it."""
+    out = {}
+    for x in bits(carrier):
+        containing = [b for b in base if b >> x & 1]
+        least = min(containing, key=int.bit_count)
+        assert all(not least & ~b for b in containing)
+        out[x] = least
+    return out
+
+
 def assert_matches_base_scan(t: FiniteTopology):
+    base = closed_base(t)
     for m in range(1 << t.carrier_size):
-        assert t.is_open_mask(m) == is_open_by_base_scan(t, m), (t, m)
+        assert t.is_open_mask(m) == is_open_by_base_scan(base, m), (t, m)
     assert is_discrete(t) == all(
-        is_open_by_base_scan(t, 1 << x) for x in range(t.carrier_size))
-
-
-def level_topology(st, alpha: int) -> FiniteTopology:
-    base = tuple(points_of(m) for m, _ in st.base_entries(alpha))
-    return FiniteTopology(st.tree.n, (), base)
+        is_open_by_base_scan(base, 1 << x) for x in range(t.carrier_size))
+    least = least_members(base, t.full)
+    assert t.neighbourhoods == tuple(least[x] for x in range(t.carrier_size))
+    assert [mask(b) for b in t.base] == sorted(set(least.values()))
 
 
 class TestOpennessAgainstBaseScan:
@@ -58,38 +74,29 @@ class TestOpennessAgainstBaseScan:
             assert_matches_base_scan(staged_topology(p).final)
 
     @pytest.mark.parametrize("seed", range(40))
-    def test_seeded_raw_bases(self, seed):
-        # bases given directly, mostly not intersection-closed: points may
-        # have several minimal members, or none
+    def test_seeded_subbases(self, seed):
+        # subbases given directly, mostly not intersection-closed: a point's
+        # least neighbourhood may be no subbase member, or the whole carrier
         rng = random.Random(f"raw:{seed}")
         n = rng.randrange(1, 9)
-        base = tuple(frozenset(x for x in range(n) if rng.random() < 0.4)
-                     for _ in range(rng.randrange(7)))
-        t = FiniteTopology(n, (), base)
-        assert_matches_base_scan(t)
-        minimal = set()
-        for x, nbs in enumerate(t.neighbourhoods):
-            containing = [b for b in t.base_masks if b >> x & 1]
-            expected = {b for b in containing
-                        if not any(c != b and not c & ~b for c in containing)}
-            assert set(nbs) == expected and len(nbs) == len(expected)
-            minimal |= expected
-        assert t.minimal_base_masks() == minimal
+        sub = tuple(frozenset(x for x in range(n) if rng.random() < 0.4)
+                    for _ in range(rng.randrange(7)))
+        assert_matches_base_scan(FiniteTopology(n, sub))
 
     def test_mask_beyond_carrier_is_not_open(self):
-        t = FiniteTopology(2, (), (frozenset({0}), frozenset({1})))
+        t = FiniteTopology(2, (frozenset({0}), frozenset({1})))
         assert t.is_open_mask(0b11) and not t.is_open_mask(0b100)
 
     @pytest.mark.parametrize("seed", range(20))
-    def test_esakia_on_minimal_members_matches_all_opens(self, seed):
+    def test_esakia_on_least_neighbourhoods_matches_all_opens(self, seed):
         rng = random.Random(f"esakia:{seed}")
         p = next(q for q in rng.sample(classes_upto(5), 40) if q.n >= 3)
-        base = tuple(frozenset(x for x in range(p.n) if rng.random() < 0.5)
-                     for _ in range(rng.randrange(1, 7)))
-        t = FiniteTopology(p.n, (), base + (frozenset(range(p.n)),))
+        sub = tuple(frozenset(x for x in range(p.n) if rng.random() < 0.5)
+                    for _ in range(rng.randrange(1, 7)))
+        t = FiniteTopology(p.n, sub)
         all_downsets_open = downset_open_for_all_opens(p, t)
-        assert all(t.is_open_mask(p.down_of_mask(b))
-                   for b in t.minimal_base_masks()) == all_downsets_open
+        assert all(t.is_open_mask(p.down_of_mask(nb))
+                   for nb in set(t.neighbourhoods)) == all_downsets_open
         assert esakia_check(p, t) == (priestley_check(p, t).holds and all_downsets_open)
 
 
@@ -98,9 +105,13 @@ class TestStagedLevelsAgainstOracles:
     def check_levels(p):
         st = staged_topology(p)
         for alpha in st.levels():
-            assert st.opens_masks(alpha) == all_opens(level_topology(st, alpha)), alpha
-        top = [e.mask for e in st.subbase_entries(st.height)]
-        assert sorted(st.final.base_masks) == sorted(intersection_closure(top, p.full))
+            carrier = st.level_carrier_mask(alpha)
+            closure = intersection_closure(
+                [e.mask for e in st.subbase_entries(alpha)], carrier)
+            assert sorted(m for m, _ in st.base_entries(alpha)) == sorted(closure), alpha
+            assert st.opens_masks(alpha) == unions(closure), alpha
+        top = tuple(e.points for e in st.subbase_entries(st.height))
+        assert st.final == FiniteTopology(p.n, top)
 
     def test_all_trees_upto_seven(self):
         trees = trees_upto(7)
@@ -116,9 +127,35 @@ class TestStagedLevelsAgainstOracles:
     @pytest.mark.parametrize("cap", [1, 2, 3, 4, 6, 8, 16])
     def test_restricted_rule_matches_whole_base_closure(self, cap):
         # a level is restricted exactly when the union closure over every
-        # base element refuses the cap
+        # base element refuses the cap; a restricted level then decides
+        # openness from its least neighbourhoods as a whole-base scan does
         for p in trees_upto(6):
             st = staged_topology(p, v_cap=cap)
             for alpha in range(1, st.height + 1):
-                whole = union_closure([m for m, _ in st.base_entries(alpha)], cap=cap)
+                base = [m for m, _ in st.base_entries(alpha)]
+                whole = union_closure(base, cap=cap)
                 assert (st.opens_masks(alpha) is None) == (whole is None), (p, alpha)
+                if whole is None:
+                    carrier = st.level_carrier_mask(alpha)
+                    for m in range(1 << p.n):
+                        expected = not m & ~carrier and is_open_by_base_scan(base, m)
+                        assert st.is_open_at_level(alpha, m) == expected, (p, alpha, m)
+
+
+class TestLargeRootSystems:
+    # past the public subbase cap: the topology is built from the subbase
+    # directly and decided from its least neighbourhoods alone
+    @staticmethod
+    def check(p):
+        t = FiniteTopology(p.n, root_subbase(p).sets)
+        assert is_discrete(t)
+        assert all(t.is_open_mask(p.down_of_mask(nb)) for nb in t.neighbourhoods)
+
+    def test_figure2_ten_to_thirty(self):
+        for n in range(10, 31):
+            self.check(gallery("figure2", n))
+
+    @pytest.mark.parametrize("n", [12, 25, 50, 100, 200])
+    def test_random_root_systems(self, n):
+        for seed in range(3):
+            self.check(random_root_system(seed, n))

@@ -15,10 +15,11 @@ from esakia.topology import (
     is_open,
     priestley_check,
     subbase_subcover,
+    union_closure,
 )
 
 from conftest import posets
-from oracles import all_opens, downset_open_for_all_opens, fs
+from oracles import all_opens, closed_base, downset_open_for_all_opens, fs, mask, unions
 
 
 def discrete_on(n: int) -> FiniteTopology:
@@ -35,8 +36,12 @@ class TestGenerateBase:
         assert t.base == (fs(0, 1),)
 
     def test_empty_set_subbase(self):
+        # ∅ is open but the least neighbourhood of no point, so the least
+        # base leaves it out
         t = generate_base([fs()], 2)
-        assert set(t.base) == {fs(), fs(0, 1)}
+        assert t.subbase == (fs(),)
+        assert t.base == (fs(0, 1),)
+        assert is_open(t, fs())
 
     def test_oversize(self):
         sets = [fs(i) for i in range(21)]
@@ -49,21 +54,28 @@ class TestGenerateBase:
         assert len(t.subbase) == 4
 
     def test_cap_lifted_internally(self):
-        sets = [fs(i) for i in range(21)]
-        t = generate_base(sets, 21, max_subbase=None)
-        assert frozenset(range(21)) in t.base
+        # the cap guards generate_base only: a topology built from its
+        # subbase directly, as the staged final is, has none
+        sets = tuple(fs(i) for i in range(21))
+        t = FiniteTopology(21, sets)
+        assert is_discrete(t) and t.base == sets
 
     @given(posets(max_n=6), st.integers(0, 2**20))
     @settings(max_examples=40, deadline=None)
-    def test_base_closed_and_contains_carrier(self, p, seed):
+    def test_base_is_the_least_base(self, p, seed):
+        # the base holds exactly the members of the intersection closure
+        # that are ⊆-minimal at one of their points, and generates the same
+        # opens
         rng = random.Random(seed)
         sub = [frozenset(x for x in range(p.n) if rng.random() < 0.5)
                for _ in range(rng.randrange(5))]
         t = generate_base(sub, p.n)
-        base = set(t.base)
-        assert frozenset(range(p.n)) in base
-        assert all(a & b in base for a in base for b in base)
-        assert all(s in base for s in t.subbase)
+        closure = closed_base(t)
+        minimal = {b for b in closure for x in range(p.n) if b >> x & 1 and not any(
+            c >> x & 1 and c != b and not c & ~b for c in closure)}
+        base = [mask(b) for b in t.base]
+        assert base == sorted(minimal)
+        assert unions(base) == unions(closure)
 
 
 class TestIsOpen:
@@ -75,14 +87,14 @@ class TestIsOpen:
         assert not is_open(t, fs(0))
         assert is_open(t, fs()) and is_open(t, fs(0, 1))
 
-    def test_pointwise_scan_on_raw_base(self):
-        # base given directly, deliberately not intersection-closed: the
-        # pointwise decision finds no witness inside {1}
-        t = FiniteTopology(3, (fs(0, 1), fs(1, 2)), (fs(0, 1), fs(1, 2), fs(0, 1, 2)))
-        assert not t.is_open_mask(0b010)
-        # point 1 has two minimal base elements, either of which suffices
-        assert t.neighbourhoods == ((0b011,), (0b011, 0b110), (0b110,))
+    def test_pointwise_decision_on_unclosed_subbase(self):
+        # subbase given directly, not intersection-closed: point 1's least
+        # neighbourhood {1} is the meet of both members, neither of them
+        t = FiniteTopology(3, (fs(0, 1), fs(1, 2)))
+        assert t.neighbourhoods == (0b011, 0b010, 0b110)
+        assert t.is_open_mask(0b010) and not t.is_open_mask(0b001)
         assert t.is_open_mask(0b011) and t.is_open_mask(0b110)
+        assert t.base == (fs(1), fs(0, 1), fs(1, 2))
 
     @given(posets(max_n=6), st.integers(0, 2**20))
     @settings(max_examples=40, deadline=None)
@@ -104,6 +116,17 @@ class TestIsOpen:
             opens = all_opens(t)
             for m in range(1 << 10):
                 assert t.is_open_mask(m) == (m in opens)
+
+
+class TestUnionClosure:
+    def test_generators_never_count_against_the_cap(self):
+        # the 2-chain's level-1 base is union-closed: it comes back whole
+        # though it holds more than cap sets
+        assert sorted(union_closure([0b00, 0b01, 0b10, 0b11], cap=2)) == [0, 1, 2, 3]
+
+    def test_an_added_union_past_the_cap_is_refused(self):
+        assert union_closure([0b01, 0b10], cap=2) is None
+        assert sorted(union_closure([0b01, 0b10], cap=4)) == [0, 1, 2, 3]
 
 
 class TestDiscrete:
@@ -187,5 +210,5 @@ class TestSeparationChecks:
         sub = [frozenset(x for x in range(p.n) if rng.random() < 0.5)
                for _ in range(rng.randrange(6))]
         t = generate_base(sub, p.n)
-        base_only = all(t.is_open_mask(p.down_of_mask(b)) for b in t.base_masks)
+        base_only = all(t.is_open_mask(p.down_of_mask(mask(b))) for b in t.base)
         assert base_only == downset_open_for_all_opens(p, t)
