@@ -1,8 +1,19 @@
 """Finite bounded distributive lattices, Heyting algebras, and prime-filter
-machinery (spectra, the gamma embedding, the Gödel equation)."""
+machinery (spectra, the gamma embedding, the Gödel equation).
+
+The k x k steps run on numpy, a block of rows (about BLOCK table entries) at
+a time, so temporaries stay small.  `lattice_of_sets` ANDs and ORs the
+ascending masks (uint64, or Python ints in object arrays past 64 bits) and
+maps each result back to its index by binary search; the up and down masks
+are packed from each meet row compared with its own index and with the
+column indices; join-irreducibles are read off the down masks by the
+one-lower-cover test in O(k).  `meet`/`join` stay tuples of tuples whose
+entries share k int objects.
+"""
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -11,8 +22,22 @@ from .errors import NoMaximum, NotALattice, NotDistributive
 from .posets import FinitePoset, from_relation, upset_masks
 
 TABLE_CAP = 128
+BLOCK = 1 << 16  # table entries computed per block of rows
 
 Table = tuple[tuple[int, ...], ...]
+
+
+def _row_blocks(k: int):
+    """Slices of row indices covering 0..k-1, about BLOCK entries each."""
+    step = max(1, BLOCK // k)
+    return (slice(lo, min(lo + step, k)) for lo in range(0, k, step))
+
+
+def _packed_rows(flags: np.ndarray) -> list[int]:
+    """Each row of a boolean matrix as an int mask (column j = bit j)."""
+    packed = np.packbits(flags, axis=1, bitorder="little")
+    raw, width = packed.tobytes(), packed.shape[1]
+    return [int.from_bytes(raw[i:i + width], "little") for i in range(0, len(raw), width)]
 
 
 @dataclass(frozen=True)
@@ -29,39 +54,49 @@ class FiniteLattice:
     top: int
 
     @cached_property
-    def up_masks(self) -> tuple[int, ...]:
-        return tuple(
-            mask_of(b for b in range(self.n) if self.meet[a][b] == a)
-            for a in range(self.n)
-        )
+    def _order_masks(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """(up masks, down masks), read off each meet row: b is above a iff
+        meet[a][b] == a, and below a iff meet[a][b] == b."""
+        n = self.n
+        ar = np.arange(n)
+        up, down = [], []
+        for rows in _row_blocks(n):
+            block = self.meet[rows]
+            vals = np.fromiter(chain.from_iterable(block), np.intp, count=len(block) * n)
+            vals = vals.reshape(-1, n)
+            up.extend(_packed_rows(vals == ar[rows, None]))
+            down.extend(_packed_rows(vals == ar))
+        return tuple(up), tuple(down)
 
-    @cached_property
+    @property
+    def up_masks(self) -> tuple[int, ...]:
+        return self._order_masks[0]
+
+    @property
     def down_masks(self) -> tuple[int, ...]:
-        return tuple(
-            mask_of(b for b in range(self.n) if self.meet[a][b] == b)
-            for a in range(self.n)
-        )
+        return self._order_masks[1]
 
     def leq(self, a: int, b: int) -> bool:
         return self.meet[a][b] == a
 
     @cached_property
     def join_irreducibles(self) -> tuple[int, ...]:
-        """Elements that are not the join of their strict lower set.
+        """Elements with exactly one lower cover, ascending.
 
-        In a finite distributive lattice these are exactly the join-prime
-        elements, hence the prime-filter generators.
+        a is join-irreducible iff its strict downset is principal, i.e. is
+        the downset of its one lower cover; the strict downset of the bottom
+        is empty, and no downset is.  In a finite distributive lattice these
+        are exactly the join-prime elements, hence the prime-filter
+        generators.
         """
-        out = []
-        for a in range(self.n):
-            if a == self.bottom:
-                continue
-            acc = self.bottom
-            for b in bits(self.down_masks[a] ^ (1 << a)):
-                acc = self.join[acc][b]
-            if acc != a:
-                out.append(a)
-        return tuple(out)
+        down = self.down_masks
+        principal = set(down)
+        return tuple(a for a in range(self.n) if down[a] ^ (1 << a) in principal)
+
+    @cached_property
+    def spectrum_generators(self) -> tuple[int, ...]:
+        """Join-irreducibles ordered by the mask of the filter they generate."""
+        return tuple(sorted(self.join_irreducibles, key=self.up_masks.__getitem__))
 
 
 def _as_table(rows) -> Table:
@@ -167,15 +202,10 @@ class PrimeFilter:
     members: frozenset[int]
 
 
-def _spectrum_generators(lat: FiniteLattice) -> list[int]:
-    """Join-irreducibles ordered by the mask of the filter they generate."""
-    return sorted(lat.join_irreducibles, key=lambda a: lat.up_masks[a])
-
-
 def prime_filters(lat: FiniteLattice) -> list[PrimeFilter]:
     """All prime filters: the principal upsets of join-irreducible elements,
     canonically sorted by member mask."""
-    return [PrimeFilter(points_of(lat.up_masks[a])) for a in _spectrum_generators(lat)]
+    return [PrimeFilter(points_of(lat.up_masks[a])) for a in lat.spectrum_generators]
 
 
 def spectrum(lat: FiniteLattice) -> FinitePoset:
@@ -183,7 +213,7 @@ def spectrum(lat: FiniteLattice) -> FinitePoset:
 
     Filter i is below filter j iff generator j is below generator i.
     """
-    gens = _spectrum_generators(lat)
+    gens = lat.spectrum_generators
     k = len(gens)
     pairs = [(i, jdx) for i in range(k) for jdx in range(k)
              if lat.leq(gens[jdx], gens[i])]
@@ -219,29 +249,51 @@ def upset_algebra_elements(p: FinitePoset) -> tuple[frozenset[int], ...]:
     return tuple(points_of(m) for m in upset_masks(p))
 
 
+def _index_table(arr: np.ndarray, op, ids: np.ndarray) -> Table:
+    """Rows of index(arr[a] op arr[b]) over the ascending, distinct masks arr;
+    NotALattice names the first result (row-major) that is no mask of arr.
+
+    ids holds the ints 0..k-1 as an object array, so gathering from it fills
+    every row with references to those k int objects."""
+    k = len(arr)
+    rows = []
+    for block in _row_blocks(k):
+        vals = op(arr[block, None], arr)
+        idx = np.searchsorted(arr, vals)
+        np.minimum(idx, k - 1, out=idx)
+        missing = arr[idx] != vals
+        if missing.any():
+            raise NotALattice("family-not-closed", (int(vals.flat[np.argmax(missing)]),))
+        rows.extend(map(tuple, ids[idx].tolist()))
+    return tuple(rows)
+
+
 def lattice_of_sets(sets) -> FiniteLattice:
     """Lattice of a finite family of point sets closed under union and
-    intersection, ordered by inclusion (element order: ascending mask)."""
+    intersection, ordered by inclusion (element order: ascending mask).
+
+    Masks are held as uint64 when the largest fits 64 bits and as Python
+    ints (numpy object arrays) otherwise; the code path is the same.  A
+    family that is not closed raises NotALattice("family-not-closed") with
+    the first missing mask, meets before joins, in row-major order.
+    """
     masks = sorted({mask_of(s) for s in sets})
-    index = {m: i for i, m in enumerate(masks)}
     k = len(masks)
     if k == 0:
         raise NotALattice("empty-family", ())
-    try:
-        meet = tuple(tuple(index[masks[a] & masks[b]] for b in range(k)) for a in range(k))
-        join = tuple(tuple(index[masks[a] | masks[b]] for b in range(k)) for a in range(k))
-    except KeyError as e:
-        raise NotALattice("family-not-closed", (e.args[0],)) from e
+    arr = np.array(masks, dtype=np.uint64 if masks[-1] >> 64 == 0 else object)
+    ids = np.array(range(k), dtype=object)
+    meet = _index_table(arr, np.bitwise_and, ids)
+    join = _index_table(arr, np.bitwise_or, ids)
     bot = masks[0]
     top = masks[-1]
     if any(bot & ~m or m & ~top for m in masks):
         raise NotALattice("family-not-closed", ())
-    return FiniteLattice(k, meet, join, index[bot], index[top])
+    return FiniteLattice(k, meet, join, 0, k - 1)
 
 
 def gamma(lat: FiniteLattice, a: int) -> frozenset[int]:
     """Spectrum indices of the prime filters containing a."""
     if not 0 <= a < lat.n:
         raise ValueError("element out of range")
-    gens = _spectrum_generators(lat)
-    return frozenset(i for i, g in enumerate(gens) if lat.leq(g, a))
+    return frozenset(i for i, g in enumerate(lat.spectrum_generators) if lat.leq(g, a))

@@ -2,7 +2,9 @@
 
 Everything here deliberately avoids the production code paths it checks:
 labeled-poset enumeration backtracks over pair states, prime filters are
-found by filtering all upsets through the definition, openness oracles close
+found by filtering all upsets through the definition, lattice tables come
+from a dict lookup per pair, order masks from scanning meet rows and
+join-irreducibles from folding joins over strict downsets, openness oracles close
 the subbase under intersections and scan that whole base or materialize
 full open-set families, the order-open family is a worklist fixpoint, and
 witness feasibility is an exhaustive scan.
@@ -11,7 +13,8 @@ witness feasibility is an exhaustive scan.
 import itertools
 
 from esakia._bits import bits, full_mask, mask_of, subsets
-from esakia.errors import CarrierTooLarge
+from esakia.algebra import FiniteLattice
+from esakia.errors import CarrierTooLarge, NotALattice
 from esakia.posets import ORDER_OPEN_CAP, FinitePoset, from_relation, upset_masks
 
 
@@ -139,6 +142,51 @@ def prime_filters_brute(lat) -> list[int]:
         if prime:
             found.append(um)
     return sorted(found)
+
+
+def lattice_tables_by_lookup(sets) -> FiniteLattice:
+    """lattice_of_sets with every meet and join looked up in a dict from
+    mask to index; a missing result raises the first one, meets first."""
+    masks = sorted({mask_of(s) for s in sets})
+    index = {m: i for i, m in enumerate(masks)}
+    k = len(masks)
+    if k == 0:
+        raise NotALattice("empty-family", ())
+    try:
+        meet = tuple(tuple(index[masks[a] & masks[b]] for b in range(k)) for a in range(k))
+        join = tuple(tuple(index[masks[a] | masks[b]] for b in range(k)) for a in range(k))
+    except KeyError as e:
+        raise NotALattice("family-not-closed", (e.args[0],)) from e
+    bot = masks[0]
+    top = masks[-1]
+    if any(bot & ~m or m & ~top for m in masks):
+        raise NotALattice("family-not-closed", ())
+    return FiniteLattice(k, meet, join, index[bot], index[top])
+
+
+def order_masks_by_scan(lat) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(up masks, down masks) of every element, scanning its meet row."""
+    up = tuple(mask_of(b for b in range(lat.n) if lat.meet[a][b] == a)
+               for a in range(lat.n))
+    down = tuple(mask_of(b for b in range(lat.n) if lat.meet[a][b] == b)
+                 for a in range(lat.n))
+    return up, down
+
+
+def join_irreducibles_by_fold(lat) -> tuple[int, ...]:
+    """Elements that are not the join of their strict lower set, folding the
+    join table over each strict downset of the scanned order."""
+    _, down = order_masks_by_scan(lat)
+    out = []
+    for a in range(lat.n):
+        if a == lat.bottom:
+            continue
+        acc = lat.bottom
+        for b in bits(down[a] ^ (1 << a)):
+            acc = lat.join[acc][b]
+        if acc != a:
+            out.append(a)
+    return tuple(out)
 
 
 def implication_by_max_scan(lat, b: int, c: int) -> int:

@@ -1,0 +1,117 @@
+"""Cross-checks of the numpy lattice layer against the scans it replaced:
+meet/join tables by dict lookup, order masks by meet-row scans, and
+join-irreducibles by folding joins over each strict downset."""
+
+import random
+
+import pytest
+
+from esakia.algebra import BLOCK, lattice_of_sets, spectrum, upset_algebra
+from esakia.constructions import gallery, root_topology_check
+from esakia.duality import poset_isomorphism
+from esakia.errors import NotALattice
+from esakia.generators import enumerate_posets
+from esakia.posets import is_root_system, upsets_of
+from esakia.topology import clopen_upsets
+
+from oracles import join_irreducibles_by_fold, lattice_tables_by_lookup, order_masks_by_scan
+
+
+def assert_matches_scans(lat):
+    up, down = order_masks_by_scan(lat)
+    assert lat.up_masks == up and lat.down_masks == down
+    assert lat.join_irreducibles == join_irreducibles_by_fold(lat)
+    assert lat.spectrum_generators == tuple(sorted(lat.join_irreducibles, key=up.__getitem__))
+
+
+def outcome(build, sets):
+    """The lattice build returns, or the (axiom, witness) of its NotALattice."""
+    try:
+        return build(sets)
+    except NotALattice as e:
+        return e.axiom, e.witness
+
+
+def assert_same_outcome(sets):
+    got = outcome(lattice_of_sets, sets)
+    assert got == outcome(lattice_tables_by_lookup, sets)
+    if not isinstance(got, tuple):
+        assert_matches_scans(got)
+    return got
+
+
+def closed_family(gens) -> list[frozenset[int]]:
+    """The family of point sets generated by gens under union and intersection."""
+    out = {frozenset(g) for g in gens}
+    while True:
+        more = {a & b for a in out for b in out} | {a | b for a in out for b in out}
+        if more <= out:
+            return sorted(out, key=sorted)
+        out |= more
+
+
+def fan_clopens(n: int) -> list[frozenset[int]]:
+    p = gallery("figure2", n)
+    return clopen_upsets(p, root_topology_check(p))
+
+
+def classes_upto(n: int):
+    return [p for k in range(1, n + 1) for p in enumerate_posets(k)]
+
+
+class TestAgainstScans:
+    def test_upset_algebras_upto_six(self):
+        classes = classes_upto(6)
+        assert len(classes) == 405
+        for p in classes:
+            lat = upset_algebra(p).lattice
+            assert_matches_scans(lat)
+            assert assert_same_outcome(upsets_of(p)) == lat
+
+    def test_clopen_lattices_of_root_systems_upto_seven(self):
+        roots = [p for p in classes_upto(7) if is_root_system(p)]
+        assert len(roots) == 199
+        for p in roots:
+            assert_same_outcome(clopen_upsets(p, root_topology_check(p)))
+
+    @pytest.mark.parametrize("n,k", [(7, 385), (8, 769)])
+    def test_fans_over_several_row_blocks(self, n, k):
+        lat = assert_same_outcome(fan_clopens(n))
+        assert lat.n == k and k * k > 2 * BLOCK
+        assert poset_isomorphism(spectrum(lat), gallery("figure2", n)) is not None
+
+    @pytest.mark.parametrize("top", [63, 64, 100])
+    def test_points_at_and_past_64_bits(self, top):
+        # masks that fit 64 bits are uint64, wider ones Python ints
+        rng = random.Random(f"wide:{top}")
+        gens = [{top}] + [{x for x in range(top - 8, top) if rng.random() < 0.5} | {rng.randrange(4)}
+                          for _ in range(4)]
+        lat = assert_same_outcome(closed_family(gens))
+        assert lat.n > 8
+
+    @pytest.mark.parametrize("sets", [
+        [],
+        [{0}, {1}],
+        [set(), {0}, {1}],
+        [{64}, {65}],
+        [set(), {64}, {65}, {63, 64, 65}],
+        [{0, 100}, {1, 100}, {100}],
+    ])
+    def test_unclosed_families_name_the_same_mask(self, sets):
+        assert isinstance(assert_same_outcome(sets), tuple)
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_seeded_random_families(self, seed):
+        rng = random.Random(f"family:{seed}")
+        width = rng.choice([6, 70])
+        sets = [{x for x in range(width) if rng.random() < 0.3} for _ in range(rng.randrange(1, 9))]
+        assert_same_outcome(sets)
+        assert_same_outcome(closed_family(sets[:4]))
+
+    def test_fan_missing_one_member(self):
+        # the missing mask is first met in a later row block or, for either
+        # of the top two members, only among the joins
+        family = sorted(fan_clopens(8), key=lambda s: sum(1 << x for x in s))
+        for drop in (300, 500, len(family) - 2, len(family) - 1):
+            got = assert_same_outcome(family[:drop] + family[drop + 1:])
+            assert got == ("family-not-closed", (sum(1 << x for x in family[drop]),))

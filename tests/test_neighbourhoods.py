@@ -17,6 +17,7 @@ from esakia.topology import (
     FiniteTopology,
     esakia_check,
     is_discrete,
+    least_neighbourhoods,
     priestley_check,
     union_closure,
 )
@@ -106,8 +107,12 @@ class TestStagedLevelsAgainstOracles:
         st = staged_topology(p)
         for alpha in st.levels():
             carrier = st.level_carrier_mask(alpha)
-            closure = intersection_closure(
-                [e.mask for e in st.subbase_entries(alpha)], carrier)
+            masks = [e.mask for e in st.subbase_entries(alpha)]
+            # every level is discrete: N[x] == {x} on the level carrier
+            nbhds = least_neighbourhoods(masks, carrier)
+            assert all(nbhds[x] == 1 << x for x in bits(carrier)), alpha
+            assert all(st.is_open_at_level(alpha, 1 << x) for x in bits(carrier)), alpha
+            closure = intersection_closure(masks, carrier)
             assert sorted(m for m, _ in st.base_entries(alpha)) == sorted(closure), alpha
             assert st.opens_masks(alpha) == unions(closure), alpha
         top = tuple(e.points for e in st.subbase_entries(st.height))
