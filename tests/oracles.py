@@ -4,10 +4,10 @@ Everything here deliberately avoids the production code paths it checks:
 labeled-poset enumeration backtracks over pair states, prime filters are
 found by filtering all upsets through the definition, lattice tables come
 from a dict lookup per pair, order masks from scanning meet rows and
-join-irreducibles from folding joins over strict downsets, openness oracles close
-the subbase under intersections and scan that whole base or materialize
-full open-set families, the order-open family is a worklist fixpoint, and
-witness feasibility is an exhaustive scan.
+join-irreducibles from folding joins over strict downsets, openness
+oracles close the subbase under intersections and scan that whole base or
+materialize full open-set families, the order-open family is a worklist
+fixpoint, and witness feasibility is an exhaustive scan.
 """
 
 import itertools

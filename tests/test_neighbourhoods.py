@@ -1,8 +1,8 @@
 """Cross-checks of the least-neighbourhood decisions against the paths they
 replace: openness and discreteness by scanning the intersection closure of
 the subbase, level opens and bases as the unions and intersections of each
-level's subbase, and the restricted-level rule as the union closure of the
-whole level base."""
+level's subbase (every level discrete), and the restricted-level rule as
+the union closure of the whole level base."""
 
 import random
 from functools import lru_cache
