@@ -14,9 +14,10 @@ from pathlib import Path
 
 from . import constructions as cons
 from . import documents as docs
+from ._bits import points_of
 from .algebra import lattice_of_sets, spectrum, upset_algebra
 from .duality import double_dual_lattice, double_dual_poset, horn_verify, poset_isomorphism
-from .errors import EsakiaError, NonHasseEdge, CycleError, ParseError
+from .errors import EsakiaError, NonHasseEdge, CycleError, OversizeSubbase, ParseError
 from .posets import (
     ORDER_OPEN_CAP,
     FinitePoset,
@@ -32,10 +33,20 @@ from .posets import (
     order_subcover,
     upsets_of,
 )
-from .topology import clopen_upsets, esakia_check, is_discrete, priestley_check
+from .topology import (PUBLIC_SUBBASE_CAP, clopen_upsets, esakia_check, is_discrete,
+                       priestley_check)
 from .generators import random_poset, random_root_system, random_tree
 
 VERIFY_ALGEBRA_CAP = 10
+
+
+def _int_from(low: int):
+    """argparse type: an integer of at least low."""
+    def integer(text: str) -> int:
+        if int(text) < low:
+            raise argparse.ArgumentTypeError(f"{text} is below {low}")
+        return int(text)
+    return integer
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -57,12 +68,12 @@ def build_parser() -> argparse.ArgumentParser:
     with_file("verify", help="full property suite on one input")
     fz = sub.add_parser("fuzz", exit_on_error=False, help="seeded batch over generators")
     fz.add_argument("--seed", type=int, default=None)
-    fz.add_argument("--count", type=int, default=20)
-    fz.add_argument("--size", type=int, default=6)
+    fz.add_argument("--count", type=_int_from(0), default=20)
+    fz.add_argument("--size", type=_int_from(1), default=6)
     fz.add_argument("--quarantine", default="quarantine")
     ga = sub.add_parser("gallery", exit_on_error=False, help="emit a gallery poset")
     ga.add_argument("name")
-    ga.add_argument("n", type=int)
+    ga.add_argument("n", type=_int_from(1))
     dot = with_file("export-dot", help="DOT rendering of a poset document")
     dot.add_argument("--with-topology", action="store_true",
                      help="annotate with the generated subbase")
@@ -71,9 +82,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 # -- shared property suite ---------------------------------------------------
 
-def _skip(report: docs.Report, suite: str, cap: int):
+def _skip(report: docs.Report, suite: str, cap: int, detail: str | None = None):
     report.data.setdefault("skipped", []).append(
-        {"suite": suite, "cap": cap, "detail": f"carriers above {cap} points"})
+        {"suite": suite, "cap": cap, "detail": detail or f"carriers above {cap} points"})
 
 
 def _suite_order_open(p: FinitePoset, report: docs.Report, rng: random.Random):
@@ -86,14 +97,9 @@ def _suite_order_open(p: FinitePoset, report: docs.Report, rng: random.Random):
         pairs = [(y, z) for y in range(1 << p.n) for z in range(1 << p.n)]
     else:
         pairs = [(rng.randrange(1 << p.n), rng.randrange(1 << p.n)) for _ in range(64)]
-    ok = all(
-        interval_complement_order_open(
-            p, frozenset(i for i in range(p.n) if y >> i & 1),
-            frozenset(i for i in range(p.n) if z >> i & 1))
-        for y, z in pairs)
+    ok = all(interval_complement_order_open(p, points_of(y), points_of(z)) for y, z in pairs)
     report.add("interval-complements-order-open", ok)
-    cover = [frozenset(i for i in range(p.n) if m >> i & 1)
-             for m in rng.sample(masks, min(6, len(masks)))]
+    cover = [points_of(m) for m in rng.sample(masks, min(6, len(masks)))]
     cover.append(frozenset(range(p.n)))
     chosen = order_subcover(p, cover)
     union = frozenset().union(*chosen)
@@ -124,6 +130,9 @@ def _suite_duality(p: FinitePoset, report: docs.Report):
 def _suite_root(p: FinitePoset, report: docs.Report):
     try:
         topo = cons.root_topology_check(p)
+    except OversizeSubbase as e:
+        _skip(report, "root", PUBLIC_SUBBASE_CAP, str(e))
+        return
     except EsakiaError as e:
         report.add("root-topology-esakia", False, str(e))
         return
@@ -139,15 +148,9 @@ def _suite_tree(p: FinitePoset, report: docs.Report, rng: random.Random):
     report.add("staged-discrete", is_discrete(st.final))
     report.add("staged-priestley", priestley_check(p, st.final).holds)
     report.add("staged-esakia", esakia_check(p, st.final))
-    promo_ok = True
-    for alpha in range(1, st.height + 1):
-        for beta in range(alpha):
-            opens = st.opens_masks(beta)
-            if opens is None:
-                continue
-            for m in sorted(opens):
-                u = frozenset(i for i in range(p.n) if m >> i & 1)
-                promo_ok = promo_ok and cons.promoted_open_in_subbase(st, beta, alpha, u)
+    promo_ok = all(cons.promoted_open_in_subbase(st, beta, alpha, points_of(m))
+                   for alpha in range(1, st.height + 1) for beta in range(alpha)
+                   for m in sorted(st.opens_masks(beta) or ()))
     report.add("staged-open-promotion", promo_ok)
     prof = st.profile
     climb_ok = True
@@ -306,10 +309,12 @@ def cmd_subcover(args) -> docs.Report:
     doc = docs._load_json(cover_text)
     entries = st.subbase_entries(st.height)
     if "indices" in doc:
-        cover = list(doc["indices"])
-        if not all(isinstance(i, int) and 0 <= i < len(entries) for i in cover):
-            raise ParseError("cover indices out of range")
+        cover = doc["indices"]
+        if not (docs._int_list(cover) and all(0 <= i < len(entries) for i in cover)):
+            raise ParseError("cover indices must be a list of integers in range")
     elif "sets" in doc:
+        if not (isinstance(doc["sets"], list) and all(map(docs._int_list, doc["sets"]))):
+            raise ParseError("'sets' must be a list of integer lists")
         by_points = {e.points: i for i, e in enumerate(entries)}
         cover = []
         for s in doc["sets"]:

@@ -35,6 +35,11 @@ def _load_json(text: str) -> dict:
     return doc
 
 
+def _int_list(v) -> bool:
+    """v is a JSON array of integers (booleans excluded)."""
+    return isinstance(v, list) and all(type(i) is int for i in v)
+
+
 def parse_poset(text: str) -> FinitePoset:
     """Parse a poset document; cover cycles and redundant edges are rejected
     by the poset constructor (CycleError / NonHasseEdge)."""
@@ -72,10 +77,9 @@ def parse_topology(text: str) -> FiniteTopology:
     doc = _load_json(text)
     size = doc.get("carrier_size")
     sub = doc.get("subbase")
-    if not isinstance(size, int) or size < 0:
+    if type(size) is not int or size < 0:
         raise ParseError("'carrier_size' must be a nonnegative integer")
-    if not isinstance(sub, list) or not all(
-            isinstance(s, list) and all(isinstance(i, int) for i in s) for s in sub):
+    if not isinstance(sub, list) or not all(map(_int_list, sub)):
         raise ParseError("'subbase' must be a list of index arrays")
     return generate_base([frozenset(s) for s in sub], size)
 
@@ -92,9 +96,8 @@ def parse_lattice(text: str) -> FiniteLattice:
         p = parse_poset(json.dumps(doc["join_irreducibles"]))
         return upset_algebra(p).lattice
     meet, join = doc.get("meet"), doc.get("join")
-    ok = all(isinstance(tbl, list) and all(
-        isinstance(r, list) and all(isinstance(v, int) for v in r) for r in tbl)
-        for tbl in (meet, join) if tbl is not None)
+    ok = all(isinstance(tbl, list) and all(map(_int_list, tbl))
+             for tbl in (meet, join) if tbl is not None)
     if meet is None or join is None or not ok:
         raise ParseError("lattice document needs 'meet' and 'join' tables "
                          "or a 'join_irreducibles' poset")

@@ -42,8 +42,8 @@ class CarrierTooLarge(EsakiaError):
 # --- topology layer ---
 
 class OversizeSubbase(EsakiaError):
-    """Subbase over the public cap of distinct sets: `verify` and `topologize`
-    enumerate the upsets and the clopen-upset lattice, which grow
+    """Subbase over the public cap of distinct sets: the spectrum round trip
+    of `verify` materializes the clopen-upset lattice, which grows
     exponentially with the number of points."""
 
 

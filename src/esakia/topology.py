@@ -6,19 +6,20 @@ least open neighbourhood N[x], the intersection of the subbase members
 containing x (the full carrier when none does).  A finite topology is fixed
 by that table (Alexandrov 1937; McCord 1966): a set is open iff it holds
 the neighbourhood of each of its points, so no base closure or open-set
-family is ever materialized here.
+family is ever materialized here.  Against a poset, the clopen upsets are
+read the same way from each point's least clopen upset C[x].
 """
 
 from dataclasses import dataclass
 from functools import cached_property
 
-from ._bits import full_mask, mask_of, points_of
+from ._bits import bits, full_mask, mask_of, points_of
 from .errors import NotACover, OversizeSubbase
-from .posets import FinitePoset, upset_masks
+from .posets import FinitePoset
 
-# Public subbases are refused above this many distinct sets: `verify` and
-# `topologize` go on to enumerate the upsets and the clopen-upset lattice,
-# which grow exponentially with the number of points.
+# Public subbases are refused above this many distinct sets: the spectrum
+# round trip of `verify` materializes the clopen-upset lattice, which grows
+# exponentially with the number of points.
 PUBLIC_SUBBASE_CAP = 20
 
 
@@ -151,15 +152,32 @@ def subbase_subcover(t: FiniteTopology, cover: list[int]) -> list[int]:
     return chosen
 
 
-def clopen_upsets(p: FinitePoset, t: FiniteTopology) -> list[frozenset[int]]:
-    """All upsets of p that are open with open complement, ascending by mask."""
+def least_clopen_upsets(p: FinitePoset, t: FiniteTopology) -> tuple[int, ...]:
+    """Per point x, C[x]: the least clopen upset of p holding x.
+
+    Clopen upsets are closed under intersection, so C[x] is the least set
+    holding x that is closed under three steps from each member z: to ↑z
+    (an upset), to N[z] (open), and to every w with z ∈ N[w] (open
+    complement: N[w] meets the set).  That is everything reachable from x
+    along the steps, closed here by Warshall's algorithm on bitmasks.
+    """
     if p.n != t.carrier_size:
         raise ValueError("carrier sizes differ")
-    out = []
-    for m in upset_masks(p):
-        if t.is_open_mask(m) and t.is_open_mask(t.full ^ m):
-            out.append(points_of(m))
-    return out
+    nbhds = t.neighbourhoods
+    reach = [p.up_masks[z] | nbhds[z] | mask_of(w for w, nb in enumerate(nbhds) if nb >> z & 1)
+             for z in range(p.n)]
+    for k in range(p.n):
+        for x in range(p.n):
+            if reach[x] >> k & 1:
+                reach[x] |= reach[k]
+    return tuple(reach)
+
+
+def clopen_upsets(p: FinitePoset, t: FiniteTopology) -> list[frozenset[int]]:
+    """All upsets of p that are open with open complement, ascending by mask:
+    the unions of the least clopen upsets C[x], since each clopen upset is
+    the union of the C[x] of its points."""
+    return [points_of(m) for m in sorted(union_closure(least_clopen_upsets(p, t)))]
 
 
 @dataclass(frozen=True)
@@ -173,27 +191,26 @@ class PriestleyReport:
 
 
 def priestley_check(p: FinitePoset, t: FiniteTopology) -> PriestleyReport:
-    if p.n != t.carrier_size:
-        raise ValueError("carrier sizes differ")
-    clopens = [mask_of(u) for u in clopen_upsets(p, t)]
-    witnesses = {}
-    failures = []
-    for x in range(p.n):
-        for y in range(p.n):
-            if x != y and not p.leq(x, y):
-                for m in clopens:
-                    if m >> x & 1 and not m >> y & 1:
-                        witnesses[(x, y)] = points_of(m)
-                        break
-                else:
-                    failures.append((x, y))
-    return PriestleyReport(not failures, witnesses, tuple(failures))
+    """Every clopen upset holding x contains C[x], so x ≰ y is separated iff
+    y ∉ C[x], and C[x] is then the first separating clopen upset by mask."""
+    least = list(enumerate(least_clopen_upsets(p, t)))
+    witnesses = {(x, y): points_of(c)
+                 for x, c in least for y in bits(p.full & ~p.up_masks[x] & ~c)}
+    failures = tuple((x, y) for x, c in least for y in bits(c & ~p.up_masks[x]))
+    return PriestleyReport(not failures, witnesses, failures)
 
 
 def esakia_check(p: FinitePoset, t: FiniteTopology) -> bool:
-    """Priestley separation plus openness of the downset of every least
-    neighbourhood (every open is a union of them, and downsets commute with
-    unions, so they suffice)."""
-    if not priestley_check(p, t).holds:
-        return False
-    return all(t.is_open_mask(p.down_of_mask(nb)) for nb in set(t.neighbourhoods))
+    """Priestley separation plus open downsets of opens, which on a finite
+    carrier is discreteness.
+
+    Suppose y ∈ N[x] with y ≠ x.  If x ≰ y, a clopen upset holding x is open,
+    so it holds N[x] ∋ y and cannot separate x from y.  If x < y, the
+    complement of a clopen upset holding y but not x is open and holds x, so
+    it holds y; then y ≰ x is not separated.  So Priestley forces N[x] = {x}
+    everywhere.  Conversely, on a discrete space every set is open, ↑x
+    separates each x ≰ y, and every downset is open.
+    """
+    if p.n != t.carrier_size:
+        raise ValueError("carrier sizes differ")
+    return is_discrete(t)

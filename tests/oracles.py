@@ -6,16 +6,18 @@ found by filtering all upsets through the definition, lattice tables come
 from a dict lookup per pair, order masks from scanning meet rows and
 join-irreducibles from folding joins over strict downsets, openness
 oracles close the subbase under intersections and scan that whole base or
-materialize full open-set families, the order-open family is a worklist
-fixpoint, and witness feasibility is an exhaustive scan.
+materialize full open-set families, clopen upsets, Priestley witnesses and
+the Esakia check filter every upset of the poset, the order-open family is a
+worklist fixpoint, and witness feasibility is an exhaustive scan.
 """
 
 import itertools
 
-from esakia._bits import bits, full_mask, mask_of, subsets
+from esakia._bits import bits, full_mask, mask_of, points_of, subsets
 from esakia.algebra import FiniteLattice
 from esakia.errors import CarrierTooLarge, NotALattice
 from esakia.posets import ORDER_OPEN_CAP, FinitePoset, from_relation, upset_masks
+from esakia.topology import PriestleyReport
 
 
 def labeled_posets(n: int):
@@ -253,6 +255,40 @@ def all_opens(t) -> set[int]:
 
 def downset_open_for_all_opens(p: FinitePoset, t) -> bool:
     return all(t.is_open_mask(p.down_of_mask(u)) for u in all_opens(t))
+
+
+def clopen_upsets_by_scan(p: FinitePoset, t) -> list[frozenset[int]]:
+    """Every upset of p that is open with open complement, ascending by mask."""
+    if p.n != t.carrier_size:
+        raise ValueError("carrier sizes differ")
+    return [points_of(m) for m in upset_masks(p)
+            if t.is_open_mask(m) and t.is_open_mask(t.full ^ m)]
+
+
+def priestley_by_scan(p: FinitePoset, t) -> PriestleyReport:
+    """Per pair x ≰ y, the first clopen upset by mask holding x and not y,
+    or a failure when none does."""
+    clopens = [mask_of(u) for u in clopen_upsets_by_scan(p, t)]
+    witnesses = {}
+    failures = []
+    for x in range(p.n):
+        for y in range(p.n):
+            if x != y and not p.leq(x, y):
+                for m in clopens:
+                    if m >> x & 1 and not m >> y & 1:
+                        witnesses[(x, y)] = points_of(m)
+                        break
+                else:
+                    failures.append((x, y))
+    return PriestleyReport(not failures, witnesses, tuple(failures))
+
+
+def esakia_by_scan(p: FinitePoset, t) -> bool:
+    """Priestley separation by the clopen scan plus openness of the downset
+    of every least neighbourhood."""
+    if not priestley_by_scan(p, t).holds:
+        return False
+    return all(t.is_open_mask(p.down_of_mask(nb)) for nb in set(t.neighbourhoods))
 
 
 def order_open_fixpoint(p: FinitePoset) -> frozenset[int]:

@@ -32,15 +32,18 @@ from esakia.posets import (
     order_open_masks,
     order_subcover,
 )
-from esakia.topology import clopen_upsets, esakia_check, is_discrete, priestley_check
+from esakia.topology import is_discrete
 
 from oracles import (
     automorphism_count,
     class_count_by_min_perm,
+    clopen_upsets_by_scan,
     cone_feasible_set,
+    esakia_by_scan,
     labeled_poset_count,
     mask,
     order_open_fixpoint,
+    priestley_by_scan,
 )
 
 CLASS_COUNTS = (1, 2, 5, 16, 63, 318)
@@ -100,9 +103,9 @@ def test_criterion_03_root_system_topologies():
     ok = True
     for p in systems:
         topo = root_topology_check(p)     # verifies Esakia + discreteness
-        ok = ok and priestley_check(p, topo).holds and is_discrete(topo)
-        ok = ok and esakia_check(p, topo)
-        lat = lattice_of_sets(clopen_upsets(p, topo))
+        ok = ok and priestley_by_scan(p, topo).holds and is_discrete(topo)
+        ok = ok and esakia_by_scan(p, topo)
+        lat = lattice_of_sets(clopen_upsets_by_scan(p, topo))
         ok = ok and poset_isomorphism(spectrum(lat), p) is not None
     _line(3, ok, f"downset subbase yields discrete Esakia spaces with spectrum "
                  f"round-trip on all {len(systems)} root systems (n <= 7)")
@@ -114,8 +117,8 @@ def test_criterion_04_staged_topologies():
 
     def check(p, st):
         good = is_discrete(st.final)
-        good = good and priestley_check(p, st.final).holds
-        good = good and esakia_check(p, st.final)
+        good = good and priestley_by_scan(p, st.final).holds
+        good = good and esakia_by_scan(p, st.final)
         for alpha in range(1, st.height + 1):
             for beta in range(alpha):
                 opens = st.opens_masks(beta)

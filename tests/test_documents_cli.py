@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 
 import esakia
+from esakia import cli
 from esakia.cli import VERIFY_ALGEBRA_CAP, run_command
 from esakia.constructions import gallery, staged_topology
 from esakia.documents import (
@@ -19,8 +20,9 @@ from esakia.documents import (
     parse_topology,
     topology_to_document,
 )
-from esakia.errors import CycleError, NonHasseEdge, ParseError
+from esakia.errors import ConstructionCheckFailure, CycleError, NonHasseEdge, ParseError
 from esakia.posets import ORDER_OPEN_CAP, FinitePoset
+from esakia.topology import PUBLIC_SUBBASE_CAP
 
 from conftest import posets
 
@@ -72,6 +74,10 @@ class TestLatticeDocuments:
         with pytest.raises(ParseError):
             parse_lattice('{"meet": [[0]]}')
 
+    def test_boolean_table_entries(self):
+        with pytest.raises(ParseError):
+            parse_lattice('{"meet": [[false]], "join": [[0]]}')
+
 
 class TestTopologyDocuments:
     def test_round_trip(self, zoo):
@@ -83,6 +89,14 @@ class TestTopologyDocuments:
     def test_parse_errors(self):
         with pytest.raises(ParseError):
             parse_topology('{"carrier_size": "x", "subbase": []}')
+
+    @pytest.mark.parametrize("doc", [
+        {"carrier_size": True, "subbase": [[0]]}, {"carrier_size": 2, "subbase": [[False]]},
+        {"carrier_size": 2, "subbase": [0]}])
+    def test_booleans_are_not_integers(self, doc):
+        # Python's bool is an int, a JSON boolean is not
+        with pytest.raises(ParseError):
+            parse_topology(json.dumps(doc))
 
 
 class TestDot:
@@ -169,6 +183,26 @@ class TestCli:
         assert code == 1
         assert any("NotACover" in v.detail for v in report.verdicts if not v.passed)
 
+    @pytest.mark.parametrize("cover", [
+        {"indices": 5}, {"indices": [True]}, {"indices": [0.0]}, {"indices": [9]},
+        {"sets": [5]}, {"sets": 5}, {"sets": [[True]]}, {"sets": [["0"]]}, {"other": []}])
+    def test_subcover_bad_cover_document_exits_two(self, tmp_path, zoo, cover):
+        ppath = write(tmp_path, "c2.json", emit_poset(zoo["chain2"]))
+        cpath = write(tmp_path, "cov.json", json.dumps(cover))
+        report, code = run_command(["subcover", "--cover", cpath, ppath])
+        assert code == 2
+        assert report.verdicts[0].name == "input-readable"
+        assert report.verdicts[0].detail.startswith("ParseError")
+
+    def test_subcover_indices_golden(self, tmp_path, zoo):
+        ppath = write(tmp_path, "c2.json", emit_poset(zoo["chain2"]))
+        cpath = write(tmp_path, "cov.json", json.dumps({"sets": [[0], [1]]}))
+        by_sets, _ = run_command(["subcover", "--cover", cpath, ppath])
+        cover = by_sets.data["selected_indices"]
+        cpath = write(tmp_path, "idx.json", json.dumps({"indices": cover}))
+        report, code = run_command(["subcover", "--cover", cpath, ppath])
+        assert code == 0 and report.data["selected_sets"] == [[0], [1]]
+
     def test_parse_error_exits_two(self, tmp_path):
         path = write(tmp_path, "bad.json", "{nope")
         _, code = run_command(["check", path])
@@ -181,6 +215,22 @@ class TestCli:
     def test_usage_error_exits_two(self):
         _, code = run_command(["frobnicate"])
         assert code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["fuzz", "--size", "0"], ["fuzz", "--count", "-1"], ["fuzz", "--size", "x"],
+        ["gallery", "figure1", "0"], ["gallery", "figure2", "-3"]])
+    def test_out_of_range_sizes_are_usage_errors(self, tmp_path, argv):
+        report, code = run_command(argv + (["--quarantine", str(tmp_path)]
+                                           if argv[0] == "fuzz" else []))
+        assert code == 2
+        assert report.command == "usage" and not report.ok
+
+    def test_smallest_sizes_are_accepted(self, tmp_path):
+        report, code = run_command(["fuzz", "--size", "1", "--count", "0",
+                                    "--quarantine", str(tmp_path / "q")])
+        assert code == 0 and report.data["count"] == 0
+        _, code = run_command(["gallery", "figure1", "1"])
+        assert code == 0
 
     def test_gallery(self):
         report, code = run_command(["gallery", "figure1", "2"])
@@ -212,6 +262,32 @@ class TestCli:
         assert report.data["skipped"] == [
             {"suite": "duality", "cap": VERIFY_ALGEBRA_CAP,
              "detail": f"carriers above {VERIFY_ALGEBRA_CAP} points"}]
+
+    def test_verify_skips_root_suite_past_the_subbase_cap(self, tmp_path):
+        # the 12-point fan has 22 distinct subbase sets
+        path = write(tmp_path, "fan.json", emit_poset(gallery("figure2", 9)))
+        report, code = run_command(["verify", path])
+        assert code == 0 and report.ok
+        assert not any(v.name.startswith("root-") for v in report.verdicts)
+        assert report.data["skipped"] == [
+            {"suite": "duality", "cap": VERIFY_ALGEBRA_CAP,
+             "detail": f"carriers above {VERIFY_ALGEBRA_CAP} points"},
+            {"suite": "root", "cap": PUBLIC_SUBBASE_CAP,
+             "detail": "22 subbase sets exceed the cap of 20"}]
+
+    def test_verify_fails_root_suite_on_other_construction_errors(self, tmp_path, zoo,
+                                                                   monkeypatch):
+        def broken(p):
+            raise ConstructionCheckFailure("root-system topology failed the Esakia checks")
+
+        monkeypatch.setattr(cli.cons, "root_topology_check", broken)
+        path = write(tmp_path, "lam.json", emit_poset(zoo["lam"]))
+        report, code = run_command(["verify", path])
+        assert code == 1
+        failed = [v for v in report.verdicts if not v.passed]
+        assert [(v.name, v.detail) for v in failed] == [
+            ("root-topology-esakia", "root-system topology failed the Esakia checks")]
+        assert "skipped" not in report.data
 
     def test_verify_names_both_skipped_suites_past_sixteen_points(self, tmp_path):
         # an N shape beside 13 isolated points: neither a tree nor a root system

@@ -1,8 +1,10 @@
 """Cross-checks of the least-neighbourhood decisions against the paths they
 replace: openness and discreteness by scanning the intersection closure of
 the subbase, level opens and bases as the unions and intersections of each
-level's subbase (every level discrete), and the restricted-level rule as
-the union closure of the whole level base."""
+level's subbase (every level discrete), the restricted-level rule as
+the union closure of the whole level base, and the clopen-upset family, the
+Priestley report and the Esakia verdict read from the least clopen upsets
+as the scans over every upset."""
 
 import random
 from functools import lru_cache
@@ -15,6 +17,7 @@ from esakia.generators import enumerate_posets, random_root_system, random_tree
 from esakia.posets import is_root_system, is_tree
 from esakia.topology import (
     FiniteTopology,
+    clopen_upsets,
     esakia_check,
     is_discrete,
     least_neighbourhoods,
@@ -23,11 +26,14 @@ from esakia.topology import (
 )
 
 from oracles import (
+    clopen_upsets_by_scan,
     closed_base,
     downset_open_for_all_opens,
+    esakia_by_scan,
     intersection_closure,
     is_open_by_base_scan,
     mask,
+    priestley_by_scan,
     unions,
 )
 
@@ -99,6 +105,40 @@ class TestOpennessAgainstBaseScan:
         assert all(t.is_open_mask(p.down_of_mask(nb))
                    for nb in set(t.neighbourhoods)) == all_downsets_open
         assert esakia_check(p, t) == (priestley_check(p, t).holds and all_downsets_open)
+
+
+def assert_matches_clopen_scans(p, t: FiniteTopology):
+    rep, ref = priestley_check(p, t), priestley_by_scan(p, t)
+    assert rep.holds == ref.holds, (p, t)
+    assert list(rep.witnesses.items()) == list(ref.witnesses.items()), (p, t)
+    assert rep.failures == ref.failures, (p, t)
+    assert clopen_upsets(p, t) == clopen_upsets_by_scan(p, t), (p, t)
+    assert esakia_check(p, t) == esakia_by_scan(p, t), (p, t)
+
+
+class TestLeastClopenUpsetsAgainstScans:
+    def test_seeded_subbases_on_every_class_upto_five(self):
+        # twelve random subbases per class: almost all non-discrete, so the
+        # failures and the clopen family below the powerset are exercised
+        universe = classes_upto(5)
+        assert len(universe) == 87
+        discrete = 0
+        for k, p in enumerate(universe):
+            rng = random.Random(f"clopen:{k}")
+            for _ in range(12):
+                sub = tuple(frozenset(x for x in range(p.n) if rng.random() < 0.5)
+                            for _ in range(rng.randrange(7)))
+                t = FiniteTopology(p.n, sub)
+                discrete += is_discrete(t)
+                assert_matches_clopen_scans(p, t)
+        assert discrete < len(universe) * 12 // 4
+
+    def test_root_systems_and_staged_finals_upto_seven(self):
+        for p in classes_upto(7):
+            if is_root_system(p):
+                assert_matches_clopen_scans(p, root_topology_check(p))
+            if is_tree(p):
+                assert_matches_clopen_scans(p, staged_topology(p).final)
 
 
 class TestStagedLevelsAgainstOracles:
