@@ -116,10 +116,10 @@ def validate_lattice(meet, join) -> FiniteLattice:
         raise NotALattice("shape", (n,))
     if n > TABLE_CAP:
         raise NotALattice("carrier-cap", (n, TABLE_CAP))
+    if any(not 0 <= v < n for row in meet_t + join_t for v in row):
+        raise NotALattice("range", ())
     m = np.array(meet_t, dtype=np.int64)
     j = np.array(join_t, dtype=np.int64)
-    if m.min() < 0 or m.max() >= n or j.min() < 0 or j.max() >= n:
-        raise NotALattice("range", ())
     ar = np.arange(n)
 
     def first_bad(bad, axiom):
@@ -228,9 +228,7 @@ def upset_algebra(p: FinitePoset) -> HeytingAlgebra:
     elems = upset_masks(p)
     index = {m: i for i, m in enumerate(elems)}
     k = len(elems)
-    meet = tuple(tuple(index[elems[a] & elems[b]] for b in range(k)) for a in range(k))
-    join = tuple(tuple(index[elems[a] | elems[b]] for b in range(k)) for a in range(k))
-    lat = FiniteLattice(k, meet, join, index[0], index[p.full])
+    lat = lattice_of_sets(points_of(m) for m in elems)
     imp_rows = []
     for a in range(k):
         row = []

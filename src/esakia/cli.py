@@ -150,7 +150,7 @@ def _suite_tree(p: FinitePoset, report: docs.Report, rng: random.Random):
     report.add("staged-esakia", esakia_check(p, st.final))
     promo_ok = all(cons.promoted_open_in_subbase(st, beta, alpha, points_of(m))
                    for alpha in range(1, st.height + 1) for beta in range(alpha)
-                   for m in sorted(st.opens_masks(beta) or ()))
+                   for m in sorted(st.opens_masks(beta)))
     report.add("staged-open-promotion", promo_ok)
     prof = st.profile
     climb_ok = True
@@ -224,7 +224,7 @@ def property_suite(p: FinitePoset, report: docs.Report, seed: int = 0):
 # -- subcommands ---------------------------------------------------------------
 
 def _read(path: str) -> str:
-    return Path(path).read_text()
+    return Path(path).read_text(encoding="utf-8")
 
 
 def cmd_check(args) -> docs.Report:
@@ -432,7 +432,7 @@ _HANDLERS = {
 def _input_digest(args) -> str:
     """The digest the command's report carries on success, for error
     reports: the digest of the input file(s) as read, the gallery call or
-    the fuzz seed; empty when an input file cannot be read."""
+    the fuzz seed; empty when an input file cannot be read or decoded."""
     if args.command == "gallery":
         return f"{args.name}({args.n})"
     if args.command == "fuzz":
@@ -440,7 +440,7 @@ def _input_digest(args) -> str:
     paths = [args.file] + ([args.cover] if args.command == "subcover" else [])
     try:
         return docs.digest("".join(_read(path) for path in paths))
-    except OSError:
+    except (OSError, UnicodeDecodeError):
         return ""
 
 
@@ -454,7 +454,7 @@ def run_command(argv: list[str]) -> tuple[docs.Report, int]:
         return report, 2
     try:
         report = _HANDLERS[args.command](args)
-    except (ParseError, CycleError, NonHasseEdge, OSError) as e:
+    except (ParseError, CycleError, NonHasseEdge, OSError, UnicodeDecodeError) as e:
         report = docs.Report(args.command, _input_digest(args))
         report.add("input-readable", False, f"{type(e).__name__}: {e}")
         return report, 2

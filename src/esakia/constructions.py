@@ -25,10 +25,7 @@ from .errors import (
     UnknownName,
 )
 from .posets import FinitePoset, HeightProfile, heights, is_root_system, is_tree
-from .topology import (FiniteTopology, generate_base, is_discrete, least_neighbourhoods,
-                       union_closure)
-
-V_ENUMERATION_CAP = 4096
+from .topology import FiniteTopology, generate_base, is_discrete
 
 
 # -- root-system construction ------------------------------------------------
@@ -98,11 +95,13 @@ class StagedTopology:
     Levels run from 0 (the root alone) to the tree height; each successor
     level's subbase holds the three families (isolated singletons, downsets
     of covered level elements, and lifted-and-carved lower opens), with
-    provenance retained per deduplicated set.
+    provenance retained per deduplicated set.  Every level is discrete (see
+    staged_topology), so its opens are all subsets of its carrier and every
+    level is listed in v_modes as "exact".
     """
 
     def __init__(self, tree, profile, plus_choice, p_sets, s_sets, entries,
-                 bases, nbhds, opens, v_modes, final):
+                 bases, final):
         self.tree: FinitePoset = tree
         self.profile: HeightProfile = profile
         self.plus_choice: dict[int, int] = plus_choice
@@ -110,9 +109,9 @@ class StagedTopology:
         self.s_sets: dict[int, frozenset[int]] = s_sets
         self._entries: dict[int, list[SubbaseEntry]] = entries
         self._bases: dict[int, list[tuple[int, tuple[int, ...]]]] = bases
-        self._nbhds: dict[int, tuple[int, ...]] = nbhds
-        self._opens: dict[int, frozenset[int] | None] = opens
-        self.v_modes: dict[int, str] = v_modes
+        self._opens: dict[int, frozenset[int]] = {
+            a: frozenset(subsets(profile.le_mask(a))) for a in self.levels()}
+        self.v_modes: dict[int, str] = {a: "exact" for a in range(1, profile.max_height + 1)}
         self.final: FiniteTopology = final
         self._climbs: dict[int, tuple[int, ...]] = {}
         self._mask_sets: dict[int, frozenset[int]] = {
@@ -149,20 +148,15 @@ class StagedTopology:
         self._check_level(alpha)
         return self._bases[alpha]
 
-    def opens_masks(self, alpha: int) -> frozenset[int] | None:
-        """All level-alpha opens, or None when enumeration was restricted."""
+    def opens_masks(self, alpha: int) -> frozenset[int]:
+        """All level-alpha opens: every subset of the level carrier."""
         self._check_level(alpha)
         return self._opens[alpha]
 
     def is_open_at_level(self, alpha: int, mask: int) -> bool:
+        """The level is discrete, so mask is open iff it lies in the carrier."""
         self._check_level(alpha)
-        if mask & ~self.level_carrier_mask(alpha):
-            return False
-        ops = self._opens[alpha]
-        if ops is not None:
-            return mask in ops
-        nbhds = self._nbhds[alpha]
-        return not any(nbhds[x] & ~mask for x in bits(mask))
+        return not mask & ~self.level_carrier_mask(alpha)
 
     def _check_level(self, alpha: int):
         if not 0 <= alpha <= self.height:
@@ -190,22 +184,28 @@ class StagedTopology:
         return self.climb_values(x)[alpha - hx]
 
 
-def staged_topology(p: FinitePoset, plus_choice: dict[int, int] | None = None,
-                    v_cap: int = V_ENUMERATION_CAP) -> StagedTopology:
+def staged_topology(p: FinitePoset, plus_choice: dict[int, int] | None = None) -> StagedTopology:
     """Build the level topologies of a finite tree.
 
     Per successor level: covered level elements get a chosen upper cover
     (smallest index unless plus_choice overrides), the uncovered new points
     become isolated singletons, and the subbase gains the three families.
     Each level's base is the intersection closure of its subbase, with the
-    subbase indices of one decomposition per element; its opens are the
-    unions of its points' least neighbourhoods (the intersection of the
-    level's subbase members containing the point), and the final topology
-    is generated by the top level's subbase.  The lifted family ranges over
-    every open of the previous level whenever that family has at most v_cap
-    distinct sets (or no more than the level's base holds); otherwise it
-    falls back to base elements plus pairwise unions and the level is
-    flagged "restricted".
+    subbase indices of one decomposition per element, and the final
+    topology is generated by the top level's subbase.
+
+    Every level is discrete, so its opens are all subsets of its carrier
+    and the lifted family ranges over every subset of the level below.  By
+    induction from the one-point level 0: if level alpha is discrete, each
+    point of level alpha+1 is a finite intersection of subbase members,
+    where lift(v) = v ∪ (↑(v ∩ slice alpha) up to height alpha+1):
+    - a new isolated point x is its own singleton member;
+    - a point x below slice alpha has lift({x}) = {x};
+    - an uncovered point x of slice alpha has lift({x}) = {x};
+    - a covered point x of slice alpha is ↓x ∩ lift({x});
+    - a chosen cover x = y⁺ is lift({y}) ∖ ↓({y} ∪ the isolated siblings
+      of x), as every other upper cover of y is isolated.
+    A finite space whose points are open is discrete (Alexandrov 1937).
     """
     if not is_tree(p):
         raise NotATree("staged construction requires a tree")
@@ -218,9 +218,6 @@ def staged_topology(p: FinitePoset, plus_choice: dict[int, int] | None = None,
     choice: dict[int, int] = {}
     entries: dict[int, list[SubbaseEntry]] = {0: []}
     bases: dict[int, list[tuple[int, tuple[int, ...]]]] = {0: [(1 << root, ())]}
-    nbhds: dict[int, tuple[int, ...]] = {0: least_neighbourhoods((), 1 << root)}
-    opens: dict[int, frozenset[int] | None] = {0: frozenset({0, 1 << root})}
-    v_modes: dict[int, str] = {}
 
     for alpha in range(h):
         next_level = alpha + 1
@@ -256,24 +253,10 @@ def staged_topology(p: FinitePoset, plus_choice: dict[int, int] | None = None,
         for x in covered:
             add(p.down_masks[x], SubbaseSource("downset", element=x))
 
-        prev_opens = opens[alpha]
-        if prev_opens is not None:
-            v_list = sorted(prev_opens)
-            v_modes[next_level] = "exact"
-        else:
-            base_masks = [bm for bm, _ in bases[alpha]]
-            pool = dict.fromkeys(base_masks)
-            for i, a in enumerate(base_masks):
-                for b in base_masks[i:]:
-                    pool.setdefault(a | b)
-            pool.setdefault(0)
-            v_list = sorted(pool)
-            v_modes[next_level] = "restricted"
-
         ground = sorted(p_sets[alpha] | s_here)
         ground_mask = mask_of(ground)
         carved = [(points_of(z), p.down_of_mask(z)) for z in subsets(ground_mask)]
-        for v in v_list:
+        for v in subsets(prof.le_mask(alpha)):
             lift = v | (p.up_of_mask(v & cur_slice) & le_next)
             for z_set, z_down in carved:
                 add(lift & ~z_down, SubbaseSource("lift", v_mask=v, z_set=z_set))
@@ -298,16 +281,9 @@ def staged_topology(p: FinitePoset, plus_choice: dict[int, int] | None = None,
         bases[next_level] = sorted(
             ((m, prov) for m, prov in base_prov.items()),
             key=lambda it: (it[0].bit_count(), it[0]))
-        # every open is a union of least neighbourhoods.  A family no larger
-        # than the base, already held, is never refused.
-        nbhds[next_level] = least_neighbourhoods([e.mask for e in entry_list], le_next)
-        held = len(base_prov) + (0 not in base_prov)
-        closure = union_closure(nbhds[next_level], cap=max(v_cap, held))
-        opens[next_level] = None if closure is None else frozenset(closure)
 
     final = FiniteTopology(p.n, tuple(e.points for e in entries[h]))
-    st = StagedTopology(p, prof, choice, p_sets, s_sets, entries, bases,
-                        nbhds, opens, v_modes, final)
+    st = StagedTopology(p, prof, choice, p_sets, s_sets, entries, bases, final)
     for x in range(p.n):  # fill the climb table: instances stay immutable
         st.climb_values(x)
     return st
@@ -320,7 +296,7 @@ def promoted_open_in_subbase(st: StagedTopology, beta: int, alpha: int,
     if not 0 <= beta < alpha or alpha > st.height:
         raise ValueError("need 0 <= beta < alpha <= height")
     m = mask_of(u)
-    if m & ~st.level_carrier_mask(beta) or not st.is_open_at_level(beta, m):
+    if not st.is_open_at_level(beta, m):
         raise NotOpenAtLevel(f"{sorted(u)} is not open at level {beta}")
     tree = st.tree
     promoted = m | (tree.up_of_mask(m & st.slice_mask(beta)) & st.level_carrier_mask(alpha))

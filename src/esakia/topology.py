@@ -74,14 +74,8 @@ class FiniteTopology:
         return True
 
 
-def union_closure(masks: list[int], cap: int | None = None) -> list[int] | None:
-    """All unions of subfamilies (empty -> 0), deduplicated.
-
-    Only added unions are refused: the result is None when a union that is
-    neither 0 nor a generator would take the family past cap distinct sets.
-    0 and the generators are never refused, so a union-closed family comes
-    back whole whatever its size.
-    """
+def union_closure(masks: list[int]) -> list[int]:
+    """All unions of subfamilies (empty -> 0), deduplicated."""
     seen = {0}
     out = [0]
     work = []
@@ -96,8 +90,6 @@ def union_closure(masks: list[int], cap: int | None = None) -> list[int] | None:
         for g in gens:
             v = u | g
             if v not in seen:
-                if cap is not None and len(seen) >= cap:
-                    return None
                 seen.add(v)
                 out.append(v)
                 work.append(v)

@@ -121,10 +121,7 @@ def test_criterion_04_staged_topologies():
         good = good and esakia_by_scan(p, st.final)
         for alpha in range(1, st.height + 1):
             for beta in range(alpha):
-                opens = st.opens_masks(beta)
-                if opens is None:
-                    continue  # outside the enumeration bound
-                for m in sorted(opens):
+                for m in sorted(st.opens_masks(beta)):
                     u = frozenset(i for i in range(p.n) if m >> i & 1)
                     good = good and promoted_open_in_subbase(st, beta, alpha, u)
         return good

@@ -20,7 +20,13 @@ from esakia.documents import (
     parse_topology,
     topology_to_document,
 )
-from esakia.errors import ConstructionCheckFailure, CycleError, NonHasseEdge, ParseError
+from esakia.errors import (
+    ConstructionCheckFailure,
+    CycleError,
+    NonHasseEdge,
+    NotALattice,
+    ParseError,
+)
 from esakia.posets import ORDER_OPEN_CAP, FinitePoset
 from esakia.topology import PUBLIC_SUBBASE_CAP
 
@@ -77,6 +83,13 @@ class TestLatticeDocuments:
     def test_boolean_table_entries(self):
         with pytest.raises(ParseError):
             parse_lattice('{"meet": [[false]], "join": [[0]]}')
+
+    @pytest.mark.parametrize("entry", [1, -1, 2**63, 10**23, -(2**64)])
+    def test_entries_out_of_range(self, entry):
+        # checked on the Python ints: entries past int64 never reach numpy
+        with pytest.raises(NotALattice) as err:
+            parse_lattice(json.dumps({"meet": [[entry]], "join": [[0]]}))
+        assert (err.value.axiom, err.value.witness) == ("range", ())
 
 
 class TestTopologyDocuments:
@@ -211,6 +224,19 @@ class TestCli:
     def test_missing_file_exits_two(self):
         report, code = run_command(["check", "/definitely/not/here.json"])
         assert code == 2 and report.input_digest == ""
+
+    def test_non_utf8_file_exits_two(self, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes('{"elements": ["\u00e9"], "covers": []}'.encode("latin-1"))
+        report, code = run_command(["check", str(path)])
+        assert code == 2 and report.input_digest == ""
+        assert report.verdicts[0].name == "input-readable"
+        assert "UnicodeDecodeError" in report.verdicts[0].detail
+
+    def test_lattice_entry_past_int64_exits_one(self, tmp_path):
+        path = write(tmp_path, "big.json", '{"meet": [[100000000000000000000000]], "join": [[0]]}')
+        report, code = run_command(["spectrum", path])
+        assert code == 1 and "NotALattice: range" in report.verdicts[0].detail
 
     def test_usage_error_exits_two(self):
         _, code = run_command(["frobnicate"])

@@ -1,8 +1,8 @@
 """Cross-checks of the least-neighbourhood decisions against the paths they
 replace: openness and discreteness by scanning the intersection closure of
 the subbase, level opens and bases as the unions and intersections of each
-level's subbase (every level discrete), the restricted-level rule as
-the union closure of the whole level base, and the clopen-upset family, the
+level's subbase (every level discrete), the level open rule "inside the
+level carrier" as a scan of the level base, and the clopen-upset family, the
 Priestley report and the Esakia verdict read from the least clopen upsets
 as the scans over every upset."""
 
@@ -22,7 +22,6 @@ from esakia.topology import (
     is_discrete,
     least_neighbourhoods,
     priestley_check,
-    union_closure,
 )
 
 from oracles import (
@@ -169,22 +168,55 @@ class TestStagedLevelsAgainstOracles:
         for seed in range(3):
             self.check_levels(random_tree(seed, n))
 
-    @pytest.mark.parametrize("cap", [1, 2, 3, 4, 6, 8, 16])
-    def test_restricted_rule_matches_whole_base_closure(self, cap):
-        # a level is restricted exactly when the union closure over every
-        # base element refuses the cap; a restricted level then decides
-        # openness from its least neighbourhoods as a whole-base scan does
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_each_point_is_the_intersection_the_proof_names(self, n):
+        # the discreteness proof of staged_topology, case by case, under
+        # the default choice of covers and under the last upper cover
+        for p in trees_upto(n):
+            if p.n != n:
+                continue
+            last = {x: p.upper_covers(x)[-1] for x in range(n) if p.upper_covers(x)}
+            for st in (staged_topology(p), staged_topology(p, plus_choice=last)):
+                prof = st.profile
+                for alpha in range(st.height):
+                    members = st.subbase_mask_set(alpha + 1)
+                    le_next = st.level_carrier_mask(alpha + 1)
+
+                    def lift(v):
+                        return v | (p.up_of_mask(v & st.slice_mask(alpha)) & le_next)
+
+                    for x in bits(le_next):
+                        if x in st.s_sets[alpha + 1]:
+                            named = [1 << x]
+                        elif prof.heights[x] <= alpha and x not in st.p_sets[alpha]:
+                            named = [lift(1 << x)]
+                        elif prof.heights[x] == alpha:
+                            named = [p.down_masks[x], lift(1 << x)]
+                        else:
+                            y = p.lower_covers(x)[0]
+                            assert st.plus_choice[y] == x
+                            siblings = [s for s in p.upper_covers(y) if s != x]
+                            assert set(siblings) <= st.s_sets[alpha + 1]
+                            z = (1 << y) | sum(1 << s for s in siblings)
+                            named = [lift(1 << y) & ~p.down_of_mask(z)]
+                        meet = le_next
+                        for m in named:
+                            assert m in members, (p, alpha, x, m)
+                            meet &= m
+                        assert meet == 1 << x, (p, alpha, x)
+
+    def test_open_rule_matches_level_base_scan(self):
+        # "inside the level carrier" decides openness as a scan of the
+        # intersection closure of the level subbase does, on every mask
         for p in trees_upto(6):
-            st = staged_topology(p, v_cap=cap)
-            for alpha in range(1, st.height + 1):
-                base = [m for m, _ in st.base_entries(alpha)]
-                whole = union_closure(base, cap=cap)
-                assert (st.opens_masks(alpha) is None) == (whole is None), (p, alpha)
-                if whole is None:
-                    carrier = st.level_carrier_mask(alpha)
-                    for m in range(1 << p.n):
-                        expected = not m & ~carrier and is_open_by_base_scan(base, m)
-                        assert st.is_open_at_level(alpha, m) == expected, (p, alpha, m)
+            st = staged_topology(p)
+            for alpha in st.levels():
+                carrier = st.level_carrier_mask(alpha)
+                base = intersection_closure(
+                    [e.mask for e in st.subbase_entries(alpha)], carrier)
+                for m in range(1 << p.n):
+                    expected = not m & ~carrier and is_open_by_base_scan(base, m)
+                    assert st.is_open_at_level(alpha, m) == expected, (p, alpha, m)
 
 
 class TestLargeRootSystems:

@@ -119,14 +119,8 @@ class TestIsOpen:
 
 
 class TestUnionClosure:
-    def test_generators_never_count_against_the_cap(self):
-        # the 2-chain's level-1 base is union-closed: it comes back whole
-        # though it holds more than cap sets
-        assert sorted(union_closure([0b00, 0b01, 0b10, 0b11], cap=2)) == [0, 1, 2, 3]
-
-    def test_an_added_union_past_the_cap_is_refused(self):
-        assert union_closure([0b01, 0b10], cap=2) is None
-        assert sorted(union_closure([0b01, 0b10], cap=4)) == [0, 1, 2, 3]
+    def test_every_union_of_the_generators(self):
+        assert sorted(union_closure([0b01, 0b10])) == [0, 1, 2, 3]
 
 
 class TestDiscrete:
