@@ -1,27 +1,32 @@
 """Finite bounded distributive lattices, Heyting algebras, and prime-filter
 machinery (spectra, the gamma embedding, the Gödel equation).
 
-The k x k steps run on numpy, a block of rows (about BLOCK table entries) at
-a time, so temporaries stay small.  `lattice_of_sets` ANDs and ORs the
+A `FiniteLattice` holds meet and join as k x k numpy index arrays.  The
+k x k steps run on numpy, a block of rows (about BLOCK table entries) at a
+time, so temporaries stay small.  `lattice_of_sets` ANDs and ORs the
 ascending masks (uint64, or Python ints in object arrays past 64 bits) and
-maps each result back to its index by binary search; the up and down masks
-are packed from each meet row compared with its own index and with the
-column indices; join-irreducibles are read off the down masks by the
-one-lower-cover test in O(k).  `meet`/`join` stay tuples of tuples whose
-entries share k int objects.
+writes the index of each result, found by binary search, into the arrays;
+the up and down masks are packed straight from each meet row compared with
+its own index and with the column indices; `leq` reads a bit of the up
+masks; join-irreducibles are read off the down masks by the one-lower-cover
+test in O(k).  So the spectrum path builds no tuple tables.  The
+tuple-of-tuples views `meet`/`join`, whose entries share k int objects, are
+built on first use, for the callers that read single entries in Python
+loops.
 """
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import islice
 
 import numpy as np
 
 from ._bits import bits, mask_of, points_of
 from .errors import NoMaximum, NotALattice, NotDistributive
-from .posets import FinitePoset, from_relation, upset_masks
+from .posets import FinitePoset, antichain_masks, from_relation, upset_masks
 
 TABLE_CAP = 128
+UPSET_CAP = 1 << 10  # upsets of a poset document turned into tables
 BLOCK = 1 << 16  # table entries computed per block of rows
 
 Table = tuple[tuple[int, ...], ...]
@@ -40,44 +45,79 @@ def _packed_rows(flags: np.ndarray) -> list[int]:
     return [int.from_bytes(raw[i:i + width], "little") for i in range(0, len(raw), width)]
 
 
-@dataclass(frozen=True)
-class FiniteLattice:
-    """Bounded distributive lattice as meet/join tables over 0..n-1.
+def _tuple_rows(table: np.ndarray, ids: np.ndarray) -> Table:
+    """The rows of a k x k index array as tuples of the int objects gathered
+    from ids, an object array of the ints 0..k-1."""
+    rows = []
+    for block in _row_blocks(len(table)):
+        rows.extend(map(tuple, ids[table[block]].tolist()))
+    return tuple(rows)
 
-    The order is derived from meet: a <= b iff meet[a][b] == a.
+
+@dataclass(frozen=True, eq=False)
+class FiniteLattice:
+    """Bounded distributive lattice over 0..n-1 whose meet and join tables
+    are n x n numpy index arrays (read-only).
+
+    The order is derived from meet: a <= b iff meet[a][b] == a, which `leq`
+    reads as bit b of up_masks[a].  `meet` and `join` are tuple-of-tuples
+    views of the arrays, built on first use.  Equality compares n, the
+    bounds and the tables.
     """
 
     n: int
-    meet: Table
-    join: Table
+    meet_array: np.ndarray
+    join_array: np.ndarray
     bottom: int
     top: int
+
+    def __post_init__(self):
+        self.meet_array.setflags(write=False)
+        self.join_array.setflags(write=False)
+
+    def __eq__(self, other):
+        if not isinstance(other, FiniteLattice):
+            return NotImplemented
+        return ((self.n, self.bottom, self.top) == (other.n, other.bottom, other.top)
+                and np.array_equal(self.meet_array, other.meet_array)
+                and np.array_equal(self.join_array, other.join_array))
+
+    @cached_property
+    def _ids(self) -> np.ndarray:
+        """The ints 0..n-1 as an object array: both tuple views gather their
+        entries from it, so they share n int objects."""
+        return np.array(range(self.n), dtype=object)
+
+    @cached_property
+    def meet(self) -> Table:
+        return _tuple_rows(self.meet_array, self._ids)
+
+    @cached_property
+    def join(self) -> Table:
+        return _tuple_rows(self.join_array, self._ids)
 
     @cached_property
     def _order_masks(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """(up masks, down masks), read off each meet row: b is above a iff
         meet[a][b] == a, and below a iff meet[a][b] == b."""
-        n = self.n
-        ar = np.arange(n)
+        ar = np.arange(self.n)
         up, down = [], []
-        for rows in _row_blocks(n):
-            block = self.meet[rows]
-            vals = np.fromiter(chain.from_iterable(block), np.intp, count=len(block) * n)
-            vals = vals.reshape(-1, n)
-            up.extend(_packed_rows(vals == ar[rows, None]))
-            down.extend(_packed_rows(vals == ar))
+        for rows in _row_blocks(self.n):
+            block = self.meet_array[rows]
+            up.extend(_packed_rows(block == ar[rows, None]))
+            down.extend(_packed_rows(block == ar))
         return tuple(up), tuple(down)
 
-    @property
+    @cached_property
     def up_masks(self) -> tuple[int, ...]:
         return self._order_masks[0]
 
-    @property
+    @cached_property
     def down_masks(self) -> tuple[int, ...]:
         return self._order_masks[1]
 
     def leq(self, a: int, b: int) -> bool:
-        return self.meet[a][b] == a
+        return self.up_masks[a] >> b & 1 == 1
 
     @cached_property
     def join_irreducibles(self) -> tuple[int, ...]:
@@ -97,6 +137,17 @@ class FiniteLattice:
     def spectrum_generators(self) -> tuple[int, ...]:
         """Join-irreducibles ordered by the mask of the filter they generate."""
         return tuple(sorted(self.join_irreducibles, key=self.up_masks.__getitem__))
+
+
+def check_upset_cap(p: FinitePoset) -> None:
+    """Refuse p before any table is built when it has more than UPSET_CAP
+    upsets: NotALattice("carrier-cap", (k, UPSET_CAP)), where k counts the
+    upsets only up to UPSET_CAP + 1.  The cap admits the 1024 upsets of the
+    10-point antichain; each further antichain point doubles k, so the
+    k x k tables and the k^2 n implication loop of `dual` grow fourfold."""
+    k = sum(1 for _ in islice(antichain_masks(p), UPSET_CAP + 1))
+    if k > UPSET_CAP:
+        raise NotALattice("carrier-cap", (k, UPSET_CAP))
 
 
 def _as_table(rows) -> Table:
@@ -144,7 +195,7 @@ def validate_lattice(meet, join) -> FiniteLattice:
     if bad.any():
         a, b, c = np.argwhere(bad)[0]
         raise NotDistributive(int(a), int(b), int(c))
-    return FiniteLattice(n, meet_t, join_t, bottoms[0], tops[0])
+    return FiniteLattice(n, m, j, bottoms[0], tops[0])
 
 
 @dataclass(frozen=True)
@@ -247,14 +298,12 @@ def upset_algebra_elements(p: FinitePoset) -> tuple[frozenset[int], ...]:
     return tuple(points_of(m) for m in upset_masks(p))
 
 
-def _index_table(arr: np.ndarray, op, ids: np.ndarray) -> Table:
-    """Rows of index(arr[a] op arr[b]) over the ascending, distinct masks arr;
-    NotALattice names the first result (row-major) that is no mask of arr.
-
-    ids holds the ints 0..k-1 as an object array, so gathering from it fills
-    every row with references to those k int objects."""
+def _index_table(arr: np.ndarray, op) -> np.ndarray:
+    """The k x k int32 array of index(arr[a] op arr[b]) over the ascending,
+    distinct masks arr; NotALattice names the first result (row-major) that
+    is no mask of arr."""
     k = len(arr)
-    rows = []
+    table = np.empty((k, k), dtype=np.int32)
     for block in _row_blocks(k):
         vals = op(arr[block, None], arr)
         idx = np.searchsorted(arr, vals)
@@ -262,8 +311,8 @@ def _index_table(arr: np.ndarray, op, ids: np.ndarray) -> Table:
         missing = arr[idx] != vals
         if missing.any():
             raise NotALattice("family-not-closed", (int(vals.flat[np.argmax(missing)]),))
-        rows.extend(map(tuple, ids[idx].tolist()))
-    return tuple(rows)
+        table[block] = idx
+    return table
 
 
 def lattice_of_sets(sets) -> FiniteLattice:
@@ -280,13 +329,12 @@ def lattice_of_sets(sets) -> FiniteLattice:
     if k == 0:
         raise NotALattice("empty-family", ())
     arr = np.array(masks, dtype=np.uint64 if masks[-1] >> 64 == 0 else object)
-    ids = np.array(range(k), dtype=object)
-    meet = _index_table(arr, np.bitwise_and, ids)
-    join = _index_table(arr, np.bitwise_or, ids)
-    bot = masks[0]
-    top = masks[-1]
-    if any(bot & ~m or m & ~top for m in masks):
-        raise NotALattice("family-not-closed", ())
+    meet = _index_table(arr, np.bitwise_and)
+    join = _index_table(arr, np.bitwise_or)
+    # The bounds need no check: a family closed under binary intersection
+    # holds the intersection of all its members, a subset of every member and
+    # hence the least mask, masks[0]; by the same argument for unions the
+    # union of all members is masks[-1].
     return FiniteLattice(k, meet, join, 0, k - 1)
 
 

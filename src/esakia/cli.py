@@ -15,7 +15,7 @@ from pathlib import Path
 from . import constructions as cons
 from . import documents as docs
 from ._bits import points_of
-from .algebra import lattice_of_sets, spectrum, upset_algebra
+from .algebra import check_upset_cap, lattice_of_sets, spectrum, upset_algebra
 from .duality import double_dual_lattice, double_dual_poset, horn_verify, poset_isomorphism
 from .errors import EsakiaError, NonHasseEdge, CycleError, OversizeSubbase, ParseError
 from .posets import (
@@ -259,6 +259,7 @@ def cmd_dual(args) -> docs.Report:
     text = _read(args.file)
     report = docs.Report("dual", docs.digest(text))
     p = docs.parse_poset(text)
+    check_upset_cap(p)
     h = upset_algebra(p)
     report.add("document-valid", True)
     report.data["lattice"] = docs.lattice_to_document(h.lattice)

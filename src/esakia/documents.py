@@ -5,9 +5,9 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 
-from .algebra import FiniteLattice, upset_algebra, validate_lattice
+from .algebra import FiniteLattice, check_upset_cap, lattice_of_sets, validate_lattice
 from .errors import ParseError
-from .posets import FinitePoset
+from .posets import FinitePoset, upsets_of
 from .topology import FiniteTopology, generate_base
 
 
@@ -85,16 +85,18 @@ def parse_topology(text: str) -> FiniteTopology:
 
 
 def lattice_to_document(lat: FiniteLattice) -> dict:
-    return {"meet": [list(r) for r in lat.meet], "join": [list(r) for r in lat.join]}
+    return {"meet": lat.meet_array.tolist(), "join": lat.join_array.tolist()}
 
 
 def parse_lattice(text: str) -> FiniteLattice:
     """Lattice from meet/join tables or from the poset of its join
-    irreducibles (the lattice then being that poset's upsets)."""
+    irreducibles (the lattice then being that poset's upsets, refused past
+    algebra.UPSET_CAP of them)."""
     doc = _load_json(text)
     if "join_irreducibles" in doc:
         p = parse_poset(json.dumps(doc["join_irreducibles"]))
-        return upset_algebra(p).lattice
+        check_upset_cap(p)
+        return lattice_of_sets(upsets_of(p))
     meet, join = doc.get("meet"), doc.get("join")
     ok = all(isinstance(tbl, list) and all(map(_int_list, tbl))
              for tbl in (meet, join) if tbl is not None)

@@ -13,6 +13,8 @@ worklist fixpoint, and witness feasibility is an exhaustive scan.
 
 import itertools
 
+import numpy as np
+
 from esakia._bits import bits, full_mask, mask_of, points_of, subsets
 from esakia.algebra import FiniteLattice
 from esakia.errors import CarrierTooLarge, NotALattice
@@ -163,7 +165,7 @@ def lattice_tables_by_lookup(sets) -> FiniteLattice:
     top = masks[-1]
     if any(bot & ~m or m & ~top for m in masks):
         raise NotALattice("family-not-closed", ())
-    return FiniteLattice(k, meet, join, index[bot], index[top])
+    return FiniteLattice(k, np.array(meet), np.array(join), index[bot], index[top])
 
 
 def order_masks_by_scan(lat) -> tuple[tuple[int, ...], tuple[int, ...]]:

@@ -1,7 +1,9 @@
+import hashlib
 import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import given, settings
 
 import esakia
 from esakia import cli
+from esakia.algebra import UPSET_CAP
 from esakia.cli import VERIFY_ALGEBRA_CAP, run_command
 from esakia.constructions import gallery, staged_topology
 from esakia.documents import (
@@ -18,6 +21,7 @@ from esakia.documents import (
     parse_lattice,
     parse_poset,
     parse_topology,
+    poset_to_document,
     topology_to_document,
 )
 from esakia.errors import (
@@ -237,6 +241,30 @@ class TestCli:
         path = write(tmp_path, "big.json", '{"meet": [[100000000000000000000000]], "join": [[0]]}')
         report, code = run_command(["spectrum", path])
         assert code == 1 and "NotALattice: range" in report.verdicts[0].detail
+
+    def test_antichain_at_the_upset_cap_keeps_its_spectrum(self, tmp_path):
+        # 1024 upsets, all admitted; the SHA-256 pins the report that the
+        # upset algebra's lattice gives
+        assert 1 << 10 <= UPSET_CAP
+        doc = {"join_irreducibles": poset_to_document(FinitePoset(10, frozenset()))}
+        report, code = run_command(["spectrum", write(tmp_path, "a10.json", json.dumps(doc))])
+        assert code == 0
+        assert hashlib.sha256(report.to_json().encode()).hexdigest() == \
+            "cc8a8ded9647fce6fc36b36274dbb096ca1e0729d03fe4a86094cd343f536919"
+
+    @pytest.mark.parametrize("n", [14, 30])
+    def test_antichain_past_the_upset_cap_is_refused_fast(self, tmp_path, n):
+        p = FinitePoset(n, frozenset())
+        docs_by_command = {
+            "spectrum": json.dumps({"join_irreducibles": poset_to_document(p)}),
+            "dual": emit_poset(p)}
+        for command, text in docs_by_command.items():
+            path = write(tmp_path, f"{command}.json", text)
+            start = time.perf_counter()
+            report, code = run_command([command, path])
+            assert time.perf_counter() - start < 1.0
+            assert code == 1 and report.verdicts[0].detail == \
+                f"NotALattice: carrier-cap fails at ({UPSET_CAP + 1}, {UPSET_CAP})"
 
     def test_usage_error_exits_two(self):
         _, code = run_command(["frobnicate"])

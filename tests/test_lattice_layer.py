@@ -1,6 +1,7 @@
 """Cross-checks of the numpy lattice layer against the scans it replaced:
 meet/join tables by dict lookup, order masks by meet-row scans, and
-join-irreducibles by folding joins over each strict downset."""
+join-irreducibles by folding joins over each strict downset.  The tuple
+views `meet`/`join` and `leq` are checked against the same references."""
 
 import random
 
@@ -17,7 +18,15 @@ from esakia.topology import clopen_upsets
 from oracles import join_irreducibles_by_fold, lattice_tables_by_lookup, order_masks_by_scan
 
 
-def assert_matches_scans(lat):
+def assert_matches_scans(lat, ref):
+    """lat against the dict-lookup lattice ref of the same family."""
+    assert lat.meet == tuple(map(tuple, ref.meet_array.tolist()))
+    assert lat.join == tuple(map(tuple, ref.join_array.tolist()))
+    # every entry is one of n shared Python ints
+    assert {type(v) for row in lat.meet + lat.join for v in row} == {int}
+    assert len({id(v) for row in lat.meet + lat.join for v in row}) == lat.n
+    assert all(lat.leq(a, b) == (lat.meet[a][b] == a)
+               for a in range(lat.n) for b in range(lat.n))
     up, down = order_masks_by_scan(lat)
     assert lat.up_masks == up and lat.down_masks == down
     assert lat.join_irreducibles == join_irreducibles_by_fold(lat)
@@ -34,9 +43,10 @@ def outcome(build, sets):
 
 def assert_same_outcome(sets):
     got = outcome(lattice_of_sets, sets)
-    assert got == outcome(lattice_tables_by_lookup, sets)
+    ref = outcome(lattice_tables_by_lookup, sets)
+    assert got == ref
     if not isinstance(got, tuple):
-        assert_matches_scans(got)
+        assert_matches_scans(got, ref)
     return got
 
 
@@ -65,8 +75,9 @@ class TestAgainstScans:
         assert len(classes) == 405
         for p in classes:
             lat = upset_algebra(p).lattice
-            assert lat == lattice_tables_by_lookup(upsets_of(p))
-            assert_matches_scans(lat)
+            ref = lattice_tables_by_lookup(upsets_of(p))
+            assert lat == ref
+            assert_matches_scans(lat, ref)
 
     def test_clopen_lattices_of_root_systems_upto_seven(self):
         roots = [p for p in classes_upto(7) if is_root_system(p)]
@@ -79,6 +90,11 @@ class TestAgainstScans:
         lat = assert_same_outcome(fan_clopens(n))
         assert lat.n == k and k * k > 2 * BLOCK
         assert poset_isomorphism(spectrum(lat), gallery("figure2", n)) is not None
+
+    def test_spectrum_round_trip_builds_no_tuple_tables(self):
+        lat = lattice_of_sets(fan_clopens(8))
+        assert poset_isomorphism(spectrum(lat), gallery("figure2", 8)) is not None
+        assert "meet" not in vars(lat) and "join" not in vars(lat)
 
     @pytest.mark.parametrize("top", [63, 64, 100])
     def test_points_at_and_past_64_bits(self, top):
