@@ -5,11 +5,14 @@ A `FiniteLattice` holds meet and join as k x k numpy index arrays.  The
 k x k steps run on numpy, a block of rows (about BLOCK table entries) at a
 time, so temporaries stay small.  `lattice_of_sets` ANDs and ORs the
 ascending masks (uint64, or Python ints in object arrays past 64 bits) and
-writes the index of each result, found by binary search, into the arrays;
-the up and down masks are packed straight from each meet row compared with
-its own index and with the column indices; `leq` reads a bit of the up
-masks; join-irreducibles are read off the down masks by the one-lower-cover
-test in O(k).  So the spectrum path builds no tuple tables.  The
+writes the index of each result into the arrays, read from a dense
+mask-to-index lookup when it has at most k^2 entries and found by binary
+search otherwise; the up and down masks are packed straight from each meet
+row compared with its own index and with the column indices; `leq` reads a
+bit of the up masks; join-irreducibles are read off the down masks by the
+one-lower-cover test in O(k); the members of a prime filter, and so the
+spectrum labels, are read off the generator's meet row.  So the spectrum
+path builds no tuple tables.  The
 tuple-of-tuples views `meet`/`join`, whose entries share k int objects, are
 built on first use, for the callers that read single entries in Python
 loops.
@@ -21,7 +24,7 @@ from itertools import islice
 
 import numpy as np
 
-from ._bits import bits, mask_of, points_of
+from ._bits import mask_of, points_of
 from .errors import NoMaximum, NotALattice, NotDistributive
 from .posets import FinitePoset, antichain_masks, from_relation, upset_masks
 
@@ -137,6 +140,17 @@ class FiniteLattice:
     def spectrum_generators(self) -> tuple[int, ...]:
         """Join-irreducibles ordered by the mask of the filter they generate."""
         return tuple(sorted(self.join_irreducibles, key=self.up_masks.__getitem__))
+
+    @cached_property
+    def spectrum_filters(self) -> tuple[tuple[int, ...], ...]:
+        """For each spectrum generator g, the members of the prime filter ↑g,
+        ascending: the b with g∧b = g, read off the generators' meet rows in
+        one numpy pass."""
+        gens = np.array(self.spectrum_generators, dtype=np.intp)
+        rows, cols = np.nonzero(self.meet_array[gens] == gens[:, None])
+        ends = np.searchsorted(rows, np.arange(1, len(gens) + 1)).tolist()
+        cols = cols.tolist()
+        return tuple(tuple(cols[lo:hi]) for lo, hi in zip([0] + ends, ends))
 
 
 def check_upset_cap(p: FinitePoset) -> None:
@@ -256,7 +270,7 @@ class PrimeFilter:
 def prime_filters(lat: FiniteLattice) -> list[PrimeFilter]:
     """All prime filters: the principal upsets of join-irreducible elements,
     canonically sorted by member mask."""
-    return [PrimeFilter(points_of(lat.up_masks[a])) for a in lat.spectrum_generators]
+    return [PrimeFilter(frozenset(m)) for m in lat.spectrum_filters]
 
 
 def spectrum(lat: FiniteLattice) -> FinitePoset:
@@ -268,8 +282,7 @@ def spectrum(lat: FiniteLattice) -> FinitePoset:
     k = len(gens)
     pairs = [(i, jdx) for i in range(k) for jdx in range(k)
              if lat.leq(gens[jdx], gens[i])]
-    labels = tuple("{" + ",".join(map(str, sorted(bits(lat.up_masks[g])))) + "}"
-                   for g in gens)
+    labels = tuple("{" + ",".join(map(str, m)) + "}" for m in lat.spectrum_filters)
     return from_relation(k, pairs, labels)
 
 
@@ -301,14 +314,32 @@ def upset_algebra_elements(p: FinitePoset) -> tuple[frozenset[int], ...]:
 def _index_table(arr: np.ndarray, op) -> np.ndarray:
     """The k x k int32 array of index(arr[a] op arr[b]) over the ascending,
     distinct masks arr; NotALattice names the first result (row-major) that
-    is no mask of arr."""
+    is no mask of arr.
+
+    Every result lies below 1 << width, width the bit length of the top
+    mask.  When 1 << width <= k * k, a dense lookup lut[mask] = index (-1
+    off the family) maps the results back, and is no larger than the table
+    being built.  Wider families, every one past 64 bits among them, are
+    mapped back by binary search.
+    """
     k = len(arr)
     table = np.empty((k, k), dtype=np.int32)
+    width = int(arr[-1]).bit_length()
+    if 1 << width <= k * k:
+        arr = arr.astype(np.intp)  # width <= 2 log2 k < 63; intp indexes uncast
+        lut = np.full(1 << width, -1, dtype=np.int32)
+        lut[arr] = np.arange(k, dtype=np.int32)
+    else:
+        lut = None
     for block in _row_blocks(k):
         vals = op(arr[block, None], arr)
-        idx = np.searchsorted(arr, vals)
-        np.minimum(idx, k - 1, out=idx)
-        missing = arr[idx] != vals
+        if lut is not None:
+            idx = lut[vals]
+            missing = idx < 0
+        else:
+            idx = np.searchsorted(arr, vals)
+            np.minimum(idx, k - 1, out=idx)
+            missing = arr[idx] != vals
         if missing.any():
             raise NotALattice("family-not-closed", (int(vals.flat[np.argmax(missing)]),))
         table[block] = idx
@@ -320,9 +351,12 @@ def lattice_of_sets(sets) -> FiniteLattice:
     intersection, ordered by inclusion (element order: ascending mask).
 
     Masks are held as uint64 when the largest fits 64 bits and as Python
-    ints (numpy object arrays) otherwise; the code path is the same.  A
-    family that is not closed raises NotALattice("family-not-closed") with
-    the first missing mask, meets before joins, in row-major order.
+    ints (numpy object arrays) otherwise.  Each AND/OR result is mapped back
+    to its index through a dense lookup when the top mask's bit length w
+    has 1 << w <= k * k, and by binary search otherwise (see `_index_table`).
+    A family that is not closed raises NotALattice("family-not-closed") with
+    the first missing mask, meets before joins, in row-major order, on
+    either path.
     """
     masks = sorted({mask_of(s) for s in sets})
     k = len(masks)

@@ -3,8 +3,9 @@
 Everything here deliberately avoids the production code paths it checks:
 labeled-poset enumeration backtracks over pair states, prime filters are
 found by filtering all upsets through the definition, lattice tables come
-from a dict lookup per pair, order masks from scanning meet rows and
-join-irreducibles from folding joins over strict downsets, openness
+from a dict lookup per pair, order masks from scanning meet rows,
+join-irreducibles from folding joins over strict downsets, spectrum labels
+and prime-filter members from the bits of the up masks, openness
 oracles close the subbase under intersections and scan that whole base or
 materialize full open-set families, clopen upsets, Priestley witnesses and
 the Esakia check filter every upset of the poset, the order-open family is a
@@ -166,6 +167,19 @@ def lattice_tables_by_lookup(sets) -> FiniteLattice:
     if any(bot & ~m or m & ~top for m in masks):
         raise NotALattice("family-not-closed", ())
     return FiniteLattice(k, np.array(meet), np.array(join), index[bot], index[top])
+
+
+def spectrum_labels_by_bit_scan(lat) -> tuple[str, ...]:
+    """Spectrum labels: each generator's filter members, read by walking the
+    bits of its up mask."""
+    return tuple("{" + ",".join(map(str, bits(lat.up_masks[g]))) + "}"
+                 for g in lat.spectrum_generators)
+
+
+def prime_filters_by_bit_scan(lat) -> list[frozenset[int]]:
+    """Prime-filter members in spectrum order, from the bits of each
+    generator's up mask."""
+    return [points_of(lat.up_masks[g]) for g in lat.spectrum_generators]
 
 
 def order_masks_by_scan(lat) -> tuple[tuple[int, ...], tuple[int, ...]]:

@@ -1,13 +1,19 @@
 """Cross-checks of the numpy lattice layer against the scans it replaced:
 meet/join tables by dict lookup, order masks by meet-row scans, and
 join-irreducibles by folding joins over each strict downset.  The tuple
-views `meet`/`join` and `leq` are checked against the same references."""
+views `meet`/`join` and `leq` are checked against the same references.
+`lattice_of_sets` maps results back to indices through a dense lookup or,
+for wide families, by binary search; every closed and unclosed family is
+also shifted onto the binary-search path and compared.  Spectrum labels and
+prime filters are checked against the bit scans of the up masks."""
 
 import random
 
+import numpy as np
 import pytest
 
-from esakia.algebra import BLOCK, lattice_of_sets, spectrum, upset_algebra
+from esakia._bits import mask_of
+from esakia.algebra import BLOCK, lattice_of_sets, prime_filters, spectrum, upset_algebra
 from esakia.constructions import gallery, root_topology_check
 from esakia.duality import poset_isomorphism
 from esakia.errors import NotALattice
@@ -15,7 +21,27 @@ from esakia.generators import enumerate_posets
 from esakia.posets import is_root_system, upsets_of
 from esakia.topology import clopen_upsets
 
-from oracles import join_irreducibles_by_fold, lattice_tables_by_lookup, order_masks_by_scan
+from oracles import (
+    join_irreducibles_by_fold,
+    lattice_tables_by_lookup,
+    order_masks_by_scan,
+    prime_filters_by_bit_scan,
+    spectrum_labels_by_bit_scan,
+)
+
+
+@pytest.fixture
+def searches(monkeypatch):
+    """The calls lattice_of_sets makes to np.searchsorted, recorded."""
+    calls = []
+    real = np.searchsorted
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np, "searchsorted", spy)
+    return calls
 
 
 def assert_matches_scans(lat, ref):
@@ -50,6 +76,27 @@ def assert_same_outcome(sets):
     return got
 
 
+def assert_binary_search_agrees(sets, searches):
+    """sets searches exactly when 1 << width > k * k, width the top mask's
+    bit length.  Shifted up until it does, and past 64 bits, the family gives
+    the unshifted tables or names the shifted missing mask."""
+    masks = {mask_of(s) for s in sets}
+    k, width = len(masks), max(masks).bit_length()
+    searches.clear()
+    got = outcome(lattice_of_sets, sets)
+    assert bool(searches) == (1 << width > k * k)
+    if width == 0:
+        return  # no shift widens the family {∅}
+    for by in (max(0, (k * k).bit_length() - width), 64):
+        searches.clear()
+        wide = outcome(lattice_of_sets, [{x + by for x in s} for s in sets])
+        assert 1 << (width + by) > k * k and searches
+        if isinstance(got, tuple):
+            assert wide == (got[0], tuple(m << by for m in got[1]))
+        else:
+            assert wide == got
+
+
 def closed_family(gens) -> list[frozenset[int]]:
     """The family of point sets generated by gens under union and intersection."""
     out = {frozenset(g) for g in gens}
@@ -79,16 +126,20 @@ class TestAgainstScans:
             assert lat == ref
             assert_matches_scans(lat, ref)
 
-    def test_clopen_lattices_of_root_systems_upto_seven(self):
+    def test_clopen_lattices_of_root_systems_upto_seven(self, searches):
         roots = [p for p in classes_upto(7) if is_root_system(p)]
         assert len(roots) == 199
         for p in roots:
-            assert_same_outcome(clopen_upsets(p, root_topology_check(p)))
+            family = clopen_upsets(p, root_topology_check(p))
+            assert_same_outcome(family)
+            assert_binary_search_agrees(family, searches)
 
     @pytest.mark.parametrize("n,k", [(7, 385), (8, 769)])
-    def test_fans_over_several_row_blocks(self, n, k):
-        lat = assert_same_outcome(fan_clopens(n))
+    def test_fans_over_several_row_blocks(self, n, k, searches):
+        family = fan_clopens(n)
+        lat = assert_same_outcome(family)
         assert lat.n == k and k * k > 2 * BLOCK
+        assert_binary_search_agrees(family, searches)
         assert poset_isomorphism(spectrum(lat), gallery("figure2", n)) is not None
 
     def test_spectrum_round_trip_builds_no_tuple_tables(self):
@@ -113,21 +164,61 @@ class TestAgainstScans:
         [set(), {64}, {65}, {63, 64, 65}],
         [{0, 100}, {1, 100}, {100}],
     ])
-    def test_unclosed_families_name_the_same_mask(self, sets):
+    def test_unclosed_families_name_the_same_mask(self, sets, searches):
         assert isinstance(assert_same_outcome(sets), tuple)
+        if sets:
+            assert_binary_search_agrees(sets, searches)
 
     @pytest.mark.parametrize("seed", range(30))
-    def test_seeded_random_families(self, seed):
+    def test_seeded_random_families(self, seed, searches):
         rng = random.Random(f"family:{seed}")
         width = rng.choice([6, 70])
         sets = [{x for x in range(width) if rng.random() < 0.3} for _ in range(rng.randrange(1, 9))]
-        assert_same_outcome(sets)
-        assert_same_outcome(closed_family(sets[:4]))
+        for family in (sets, closed_family(sets[:4])):
+            assert_same_outcome(family)
+            assert_binary_search_agrees(family, searches)
 
-    def test_fan_missing_one_member(self):
+    def test_fan_missing_one_member(self, searches):
         # the missing mask is first met in a later row block or, for either
         # of the top two members, only among the joins
-        family = sorted(fan_clopens(8), key=lambda s: sum(1 << x for x in s))
+        family = sorted(fan_clopens(8), key=mask_of)
         for drop in (300, 500, len(family) - 2, len(family) - 1):
-            got = assert_same_outcome(family[:drop] + family[drop + 1:])
-            assert got == ("family-not-closed", (sum(1 << x for x in family[drop]),))
+            unclosed = family[:drop] + family[drop + 1:]
+            got = assert_same_outcome(unclosed)
+            assert got == ("family-not-closed", (mask_of(family[drop]),))
+            assert_binary_search_agrees(unclosed, searches)
+
+    @pytest.mark.parametrize("top,searched", [(4, False), (5, True)])
+    @pytest.mark.parametrize("closed", [True, False])
+    def test_lookup_rule_boundary(self, top, searched, closed, searches):
+        # k = 4 members whose top mask has bit length top: the dense lookup
+        # takes 1 << 4 == 4 * 4 entries, and binary search takes over at 5
+        if closed:
+            sets = [set(range(top - i, top)) for i in range(4)]
+        else:
+            sets = [{top - 1}, {top - 2}, {top - 3}, set(range(top))]
+        got = assert_same_outcome(sets)
+        assert isinstance(got, tuple) != closed
+        assert bool(searches) == searched
+
+
+class TestSpectrumLabels:
+    """Spectrum labels and prime filters, read off the meet rows, against
+    the bit scans of the up masks."""
+
+    @staticmethod
+    def assert_matches_bit_scans(lat):
+        assert spectrum(lat).labels == spectrum_labels_by_bit_scan(lat)
+        assert [f.members for f in prime_filters(lat)] == prime_filters_by_bit_scan(lat)
+
+    def test_root_systems_upto_seven(self):
+        for p in classes_upto(7):
+            if is_root_system(p):
+                self.assert_matches_bit_scans(lattice_of_sets(clopen_upsets(p, root_topology_check(p))))
+
+    def test_upset_lattices_upto_five(self):
+        for p in classes_upto(5):
+            self.assert_matches_bit_scans(upset_algebra(p).lattice)
+
+    def test_eleven_point_fan(self):
+        self.assert_matches_bit_scans(lattice_of_sets(fan_clopens(8)))
