@@ -5,9 +5,8 @@ upsets containing x, and a -> gamma(a)); generic isomorphism search is a
 separate diagnostic.
 """
 
-import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 
 from ._bits import bits, mask_of
 from .algebra import (
@@ -50,65 +49,187 @@ def _compress(vals: list) -> list[int]:
     return [order[v] for v in vals]
 
 
+def _refine(colors: list[int], k: int, ups: list[list[int]],
+            downs: list[list[int]]) -> tuple[list[int], int]:
+    """Split the k cells of ``colors`` by the multisets of colours strictly
+    above and strictly below each point until no cell splits.
+
+    The parts of a cell keep its place in the order of cells, so the result
+    is an ordered partition that refines ``colors``; colours stay 0..k-1.
+    A multiset is read as the base-2**w number whose digit c counts colour c
+    (every count is below n < 2**w)."""
+    n = len(colors)
+    w = n.bit_length()
+    while k < n:
+        pw = [1 << w * c for c in range(k)]
+        half = w * k
+        raw = [(colors[x] << half | sum([pw[colors[y]] for y in ups[x]])) << half
+               | sum([pw[colors[y]] for y in downs[x]]) for x in range(n)]
+        distinct = sorted(set(raw))
+        if len(distinct) == k:
+            break
+        rank = {v: i for i, v in enumerate(distinct)}
+        colors = [rank[v] for v in raw]
+        k = len(distinct)
+    return colors, k
+
+
+def _orbits(n: int, gens) -> list[int]:
+    """The least point of each point's orbit under the group the point maps
+    ``gens`` generate."""
+    rep = list(range(n))
+
+    def find(x):
+        while rep[x] != x:
+            rep[x] = x = rep[rep[x]]
+        return x
+
+    for g in gens:
+        for x, y in enumerate(g):
+            a, b = find(x), find(y)
+            if a != b:
+                rep[max(a, b)] = min(a, b)
+    return [find(x) for x in range(n)]
+
+
+class Labelling:
+    """Canonical labelling of a poset, given as each point's strict up and
+    down lists and its cover pairs, by individualization-refinement (McKay &
+    Piperno, *Practical graph isomorphism II*, 2014).
+
+    ``profile`` ranks each point by (strict downset size, strict upset size,
+    lower cover degree, upper cover degree), and ``colors`` refines it with
+    ``_refine`` into the root's ordered colour partition, so a point of
+    greater profile has a greater colour.  ``leaf`` searches the tree whose
+    nodes individualize, in turn, each point of the first cell with more than
+    one point and refine; a node whose partition is discrete is a leaf, read
+    as the strict-order-matrix encoding of its ordering (row i holds bit j
+    iff the i-th point is strictly below the j-th, the first row most
+    significant).  The least encoding over all leaves is an isomorphism
+    invariant, so it is the canonical key, and its ordering the canonical
+    labelling.
+
+    Two leaves with equal encodings differ by an automorphism.  The search
+    compares each leaf with the first and the least leaf found, keeps every
+    automorphism this finds, and uses them twice: a child whose point shares
+    an orbit with an explored sibling under the automorphisms that fix the
+    node's individualized points is skipped, and a leaf equal to a kept leaf
+    sends the search back to their deepest common node, since the subtree it
+    is in is the image of one already searched.  The automorphisms found this
+    way generate the whole automorphism group (McKay 1981), so ``orbits``
+    are the automorphism orbits.  An n-antichain costs O(n^2) nodes.
+    """
+
+    def __init__(self, ups: list[list[int]], downs: list[list[int]], covers):
+        n = len(ups)
+        lower, upper = [0] * n, [0] * n
+        for lo, hi in covers:
+            upper[lo] += 1
+            lower[hi] += 1
+        self.n, self.ups, self.downs, self.covers = n, ups, downs, covers
+        self.profile = _compress([(len(downs[x]), len(ups[x]), lower[x], upper[x])
+                                  for x in range(n)])
+
+    @classmethod
+    def of(cls, p: FinitePoset) -> "Labelling":
+        return cls([list(bits(m ^ (1 << x))) for x, m in enumerate(p.up_masks)],
+                   [list(bits(m ^ (1 << x))) for x, m in enumerate(p.down_masks)],
+                   p.covers)
+
+    @cached_property
+    def colors(self) -> list[int]:
+        return _refine(self.profile, len(set(self.profile)), self.ups, self.downs)[0]
+
+    @cached_property
+    def leaf(self) -> tuple[int, list[int], list[list[int]]]:
+        """(least encoding, its ordering of the points, automorphisms found)."""
+        n, ups, downs = self.n, self.ups, self.downs
+        kept = []  # the first leaf and the least leaf, as (encoding, order, path)
+        gens: list[list[int]] = []
+
+        def visit(colors: list[int], k: int, path: list[int]) -> int:
+            # Returns the depth at which the search resumes: len(path) when
+            # the subtree was searched, less after a leaf equal to a kept one.
+            depth = len(path)
+            if k == n:
+                order = [0] * n
+                for x, c in enumerate(colors):
+                    order[c] = x
+                enc = 0
+                for x in order:
+                    row = 0
+                    for y in ups[x]:
+                        row |= 1 << colors[y]
+                    enc = enc << n | row
+                if not kept:
+                    kept[:] = [(enc, order, path)] * 2
+                    return depth
+                if enc < kept[1][0]:
+                    kept[1] = (enc, order, path)
+                    return depth
+                equal = next((leaf for leaf in kept if leaf[0] == enc), None)
+                if equal is None:
+                    return depth
+                gen = [0] * n
+                for x0, x in zip(equal[1], order):
+                    gen[x0] = x
+                gens.append(gen)
+                return next(i for i, (a, b) in enumerate(zip(equal[2], path)) if a != b)
+            sizes = [0] * k
+            for c in colors:
+                sizes[c] += 1
+            target = next(c for c in range(k) if sizes[c] > 1)
+            tried: list[int] = []
+            orbit, seen_gens = None, -1
+            for v in [x for x in range(n) if colors[x] == target]:
+                if tried:
+                    if seen_gens != len(gens):
+                        orbit = _orbits(n, [g for g in gens if all(g[u] == u for u in path)])
+                        seen_gens = len(gens)
+                    if orbit[v] in {orbit[t] for t in tried}:
+                        continue
+                tried.append(v)
+                child = [c + 1 if c > target or (c == target and x != v) else c
+                         for x, c in enumerate(colors)]
+                resume = visit(*_refine(child, k + 1, ups, downs), path + [v])
+                if resume < depth:
+                    return resume
+            return depth
+
+        visit(self.colors, len(set(self.colors)), [])
+        enc, order, _ = kept[1]
+        return enc, order, gens
+
+    def orbits(self) -> list[int]:
+        """The least point of each point's automorphism orbit."""
+        return _orbits(self.n, self.leaf[2])
+
+    def canonical_covers(self) -> frozenset[tuple[int, int]]:
+        """The cover pairs, relabelled by their positions in the least leaf."""
+        pos = [0] * self.n
+        for i, x in enumerate(self.leaf[1]):
+            pos[x] = i
+        return frozenset((pos[lo], pos[hi]) for lo, hi in self.covers)
+
+
 def _color_partition(p: FinitePoset) -> list[int]:
-    """Iterated invariant refinement: start from up/down set and cover-degree
-    profiles, refine by the color multisets above and below each element."""
-    cur = _compress([
-        (p.down_masks[x].bit_count(), p.up_masks[x].bit_count(),
-         len(p.lower_covers(x)), len(p.upper_covers(x)))
-        for x in range(p.n)
-    ])
-    while True:
-        raw = [
-            (cur[x],
-             tuple(sorted(cur[y] for y in bits(p.up_masks[x] ^ (1 << x)))),
-             tuple(sorted(cur[y] for y in bits(p.down_masks[x] ^ (1 << x)))))
-            for x in range(p.n)
-        ]
-        nxt = _compress(raw)
-        if len(set(nxt)) == len(set(cur)):
-            return nxt
-        cur = nxt
+    """Iterated invariant refinement: rank each point by its strict up/down
+    set sizes and cover degrees, then refine by the colour multisets strictly
+    above and below each point until no cell splits (``_refine``)."""
+    return Labelling.of(p).colors
 
 
-def _orderings(p: FinitePoset):
-    colors = _color_partition(p)
-    classes: dict[int, list[int]] = {}
-    for x, c in enumerate(colors):
-        classes.setdefault(c, []).append(x)
-    grouped = [classes[c] for c in sorted(classes)]
-    for perms in itertools.product(*(itertools.permutations(g) for g in grouped)):
-        yield [x for grp in perms for x in grp]
-
-
-def _least_encoding(p: FinitePoset) -> tuple[int, list[int]]:
-    """Minimum strict-order-matrix encoding over color-respecting orderings,
-    with the first ordering that reaches it."""
-    best = None
-    best_order = None
-    for order in _orderings(p):
-        enc = 0
-        for x in order:
-            row = 0
-            for j, y in enumerate(order):
-                if x != y and p.leq(x, y):
-                    row |= 1 << j
-            enc = enc << p.n | row
-        if best is None or enc < best:
-            best, best_order = enc, order
-    return best, best_order
-
-
-@lru_cache(maxsize=None)
 def canonical_key(p: FinitePoset) -> tuple[int, int]:
-    """Minimum strict-order-matrix encoding over color-respecting orderings."""
-    return (p.n, _least_encoding(p)[0])
+    """``(n, e)``: e is the least strict-order-matrix encoding over the
+    leaves of the individualization-refinement search (``Labelling``), equal
+    on isomorphic posets and different on non-isomorphic ones."""
+    return (p.n, Labelling.of(p).leaf[0])
 
 
 def canonical_form(p: FinitePoset) -> FinitePoset:
-    """The canonically labelled representative of p's isomorphism class."""
-    pos = {x: i for i, x in enumerate(_least_encoding(p)[1])}
-    return FinitePoset(p.n, frozenset((pos[lo], pos[hi]) for lo, hi in p.covers))
+    """The canonically labelled representative of p's isomorphism class: p
+    relabelled by the ordering of its least leaf, a fixed point of this map."""
+    return FinitePoset(p.n, Labelling.of(p).canonical_covers())
 
 
 # -- isomorphism search ------------------------------------------------------

@@ -5,35 +5,70 @@ import random
 from functools import lru_cache
 
 from ._bits import bits
-from .duality import canonical_form, canonical_key
+from .duality import Labelling
 from .errors import SizeCap
 from .posets import FinitePoset, from_relation, order_dual, upset_masks
 
-ENUMERATION_CAP = 7
+ENUMERATION_CAP = 8
+
+
+def _extends_canonically(lab: Labelling, maximal: list[int], v: int) -> bool:
+    """Whether the maximal point v lies in the automorphism orbit of the
+    canonically last maximal point.  That point has the greatest profile and
+    the greatest root colour among maximal points, so these settle most
+    candidates before the refinement or the search is run."""
+    def greatest(colors):
+        return colors[v] == max(colors[x] for x in maximal)
+
+    if not (greatest(lab.profile) and greatest(lab.colors)):
+        return False
+    last = next(x for x in reversed(lab.leaf[1]) if x in maximal)
+    return last == v or (orbit := lab.orbits())[last] == orbit[v]
 
 
 @lru_cache(maxsize=None)
 def _classes(n: int) -> tuple[FinitePoset, ...]:
+    """The canonical forms of the n-point posets, sorted by canonical key.
+
+    Canonical augmentation (McKay, *Isomorph-free exhaustive generation*,
+    1998): each class Q of n - 1 points is extended by a new maximal point v
+    over each downset of Q, and the candidate P is kept only if v lies in the
+    automorphism orbit of P's canonically last maximal point.  Deleting that
+    point from any n-point poset leaves a class of n - 1 points, so every
+    class is reached, and from one parent only; two kept siblings are
+    isomorphic iff their downsets share an orbit of Aut(Q), which the
+    parent's key set removes.
+    """
     if n == 1:
         return (FinitePoset(1, frozenset()),)
-    found: dict[tuple[int, int], FinitePoset] = {}
-    for parent in _classes(n - 1):
-        down_masks = sorted(parent.full ^ u for u in upset_masks(parent))
-        for dm in down_masks:
-            tops = [x for x in bits(dm)
-                    if not (parent.up_masks[x] & dm & ~(1 << x))]
-            covers = set(parent.covers)
-            covers.update((m, n - 1) for m in tops)
-            cand = FinitePoset(n, frozenset(covers))
-            key = canonical_key(cand)
-            if key not in found:
-                found[key] = canonical_form(cand)
-    return tuple(found[k] for k in sorted(found))
+    v = n - 1
+    found = []
+    for parent in _classes(v):
+        q = Labelling.of(parent)
+        covers = list(parent.covers)
+        keys = set()
+        for up_set in upset_masks(parent):
+            down = parent.full ^ up_set
+            below = list(bits(down))
+            ups = [u + [v] if down >> x & 1 else u for x, u in enumerate(q.ups)]
+            ups.append([])
+            tops = [x for x in below if not parent.up_masks[x] & down & ~(1 << x)]
+            lab = Labelling(ups, q.downs + [below], covers + [(x, v) for x in tops])
+            if not _extends_canonically(lab, [x for x in range(n) if not ups[x]], v):
+                continue
+            key = lab.leaf[0]
+            if key not in keys:
+                keys.add(key)
+                found.append((key, FinitePoset(n, lab.canonical_covers())))
+    found.sort(key=lambda kp: kp[0])
+    return tuple(p for _, p in found)
 
 
 def enumerate_posets(n: int):
-    """Yield one canonical representative per isomorphism class of n-element
-    posets, built by maximal-element extension with canonical-form dedup."""
+    """Yield one representative per isomorphism class of n-element posets,
+    n <= ENUMERATION_CAP, in canonical-key order.  Each is its own
+    ``canonical_form``; the classes are built once each by canonical
+    augmentation (``_classes``)."""
     if n < 1:
         raise ValueError("n must be at least 1")
     if n > ENUMERATION_CAP:

@@ -1,7 +1,10 @@
 """Independent brute-force oracles used to compute expected values.
 
 Everything here deliberately avoids the production code paths it checks:
-labeled-poset enumeration backtracks over pair states, prime filters are
+labeled-poset enumeration backtracks over pair states, canonical keys and
+forms scan every colour-respecting ordering (the class enumerator built on
+them deduplicates a level in one key dictionary), automorphisms are counted
+by plain permutation scan and by colour-pruned backtracking, prime filters are
 found by filtering all upsets through the definition, lattice tables come
 from a dict lookup per pair, order masks from scanning meet rows,
 join-irreducibles from folding joins over strict downsets, spectrum labels
@@ -12,6 +15,7 @@ the Esakia check filter every upset of the poset, the order-open family is a
 worklist fixpoint, and witness feasibility is an exhaustive scan.
 """
 
+import functools
 import itertools
 
 import numpy as np
@@ -116,6 +120,109 @@ def automorphism_count(p: FinitePoset) -> int:
                for x in range(p.n) for y in range(p.n)):
             count += 1
     return count
+
+
+def color_partition_by_profiles(p: FinitePoset) -> list[int]:
+    """Iterated invariant refinement: start from up/down set and cover-degree
+    profiles, refine by the sorted colour tuples above and below each point
+    (the refinement the permutation scan was built on)."""
+    def compress(vals):
+        order = {v: i for i, v in enumerate(sorted(set(vals)))}
+        return [order[v] for v in vals]
+
+    cur = compress([
+        (p.down_masks[x].bit_count(), p.up_masks[x].bit_count(),
+         len(p.lower_covers(x)), len(p.upper_covers(x)))
+        for x in range(p.n)
+    ])
+    while True:
+        raw = [
+            (cur[x],
+             tuple(sorted(cur[y] for y in bits(p.up_masks[x] ^ (1 << x)))),
+             tuple(sorted(cur[y] for y in bits(p.down_masks[x] ^ (1 << x)))))
+            for x in range(p.n)
+        ]
+        nxt = compress(raw)
+        if len(set(nxt)) == len(set(cur)):
+            return nxt
+        cur = nxt
+
+
+def _color_classes(p: FinitePoset) -> list[list[int]]:
+    colors = color_partition_by_profiles(p)
+    return [[x for x in range(p.n) if colors[x] == c] for c in sorted(set(colors))]
+
+
+def least_encoding_by_scan(p: FinitePoset) -> tuple[int, list[int]]:
+    """Least strict-order-matrix encoding over every ordering that lists the
+    colour classes in order, with the first ordering that reaches it."""
+    best = best_order = None
+    for perms in itertools.product(*(itertools.permutations(g) for g in _color_classes(p))):
+        order = [x for grp in perms for x in grp]
+        enc = 0
+        for x in order:
+            row = 0
+            for j, y in enumerate(order):
+                if x != y and p.leq(x, y):
+                    row |= 1 << j
+            enc = enc << p.n | row
+        if best is None or enc < best:
+            best, best_order = enc, order
+    return best, best_order
+
+
+def scan_key(p: FinitePoset) -> tuple[int, int]:
+    return (p.n, least_encoding_by_scan(p)[0])
+
+
+def scan_form(p: FinitePoset) -> FinitePoset:
+    pos = {x: i for i, x in enumerate(least_encoding_by_scan(p)[1])}
+    return FinitePoset(p.n, frozenset((pos[lo], pos[hi]) for lo, hi in p.covers))
+
+
+@functools.lru_cache(maxsize=None)
+def classes_by_key_dictionary(n: int) -> tuple[FinitePoset, ...]:
+    """One scan-canonical poset per class: every class of n - 1 points
+    extended by a maximal point over each downset, deduplicated by
+    ``scan_key`` in one dictionary per level."""
+    if n == 1:
+        return (FinitePoset(1, frozenset()),)
+    found: dict[tuple[int, int], FinitePoset] = {}
+    for parent in classes_by_key_dictionary(n - 1):
+        for up in upset_masks(parent):
+            dm = parent.full ^ up
+            tops = [x for x in bits(dm) if not (parent.up_masks[x] & dm & ~(1 << x))]
+            cand = FinitePoset(n, parent.covers | frozenset((m, n - 1) for m in tops))
+            key = scan_key(cand)
+            if key not in found:
+                found[key] = scan_form(cand)
+    return tuple(found[k] for k in sorted(found))
+
+
+def automorphisms_by_backtracking(p: FinitePoset) -> list[tuple[int, ...]]:
+    """Every automorphism of p as its tuple of images: images assigned point
+    by point within the colour classes of ``color_partition_by_profiles``,
+    each checked against the order on the points already assigned."""
+    colors = color_partition_by_profiles(p)
+    image = [0] * p.n
+    used = [False] * p.n
+    found = []
+
+    def rec(x: int):
+        if x == p.n:
+            found.append(tuple(image))
+            return
+        for y in range(p.n):
+            if used[y] or colors[y] != colors[x]:
+                continue
+            if all(p.leq(x, z) == p.leq(y, image[z]) and p.leq(z, x) == p.leq(image[z], y)
+                   for z in range(x)):
+                image[x], used[y] = y, True
+                rec(x + 1)
+                used[y] = False
+
+    rec(0)
+    return found
 
 
 def all_isomorphisms_brute(p: FinitePoset, q: FinitePoset):
@@ -361,6 +468,19 @@ def cone_feasible_set(st, x: int, alpha: int, target_mask: int) -> set:
 
 def chain_poset(n: int) -> FinitePoset:
     return FinitePoset(n, frozenset((i, i + 1) for i in range(n - 1)))
+
+
+def crowns(*sizes: int) -> FinitePoset:
+    """Disjoint k-crowns: minimal points a_0..a_{k-1} and maximal points
+    b_0..b_{k-1} with a_i < b_i and a_i < b_{i+1 mod k}.  Every point has
+    two covers, so colour refinement leaves one cell per level however
+    the crowns differ."""
+    covers, base = set(), 0
+    for k in sizes:
+        for i in range(k):
+            covers.update({(base + i, base + k + i), (base + i, base + k + (i + 1) % k)})
+        base += 2 * k
+    return FinitePoset(base, frozenset(covers))
 
 
 def antichain_poset(n: int) -> FinitePoset:

@@ -1,8 +1,11 @@
+import random
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from esakia.algebra import upset_algebra, validate_lattice
 from esakia.duality import (
+    Labelling,
     canonical_form,
     canonical_key,
     double_dual_lattice,
@@ -14,7 +17,14 @@ from esakia.duality import (
 from esakia.posets import FinitePoset, is_root_system
 
 from conftest import posets
-from oracles import all_isomorphisms_brute, chain_poset, antichain_poset
+from oracles import (
+    all_isomorphisms_brute,
+    antichain_poset,
+    automorphisms_by_backtracking,
+    chain_poset,
+    classes_by_key_dictionary,
+    crowns,
+)
 
 
 def relabeled(p: FinitePoset, perm: list[int]) -> FinitePoset:
@@ -130,3 +140,66 @@ class TestCanonicalForm:
     def test_form_is_isomorphic_to_input(self, zoo):
         for p in zoo.values():
             assert poset_isomorphism(p, canonical_form(p)) is not None
+
+
+class TestCanonicalLabellingOnEveryClass:
+    """Every class with n <= 6 (the scan oracle's enumerator), each under
+    three seeded relabellings."""
+
+    @staticmethod
+    def relabellings(p: FinitePoset, n_class: int):
+        rng = random.Random(f"canonical:{p.n}:{n_class}")
+        return [relabeled(p, rng.sample(range(p.n), p.n)) for _ in range(3)]
+
+    def test_key_is_a_complete_invariant(self):
+        for n in range(1, 7):
+            keys = []
+            for i, p in enumerate(classes_by_key_dictionary(n)):
+                copies = [p] + self.relabellings(p, i)
+                assert len({canonical_key(q) for q in copies}) == 1
+                keys.append(canonical_key(p))
+            assert len(set(keys)) == len(keys)
+
+    def test_form_is_an_isomorphic_fixed_point(self):
+        for n in range(1, 7):
+            for i, p in enumerate(classes_by_key_dictionary(n)):
+                forms = set()
+                for q in self.relabellings(p, i):
+                    form = canonical_form(q)
+                    assert poset_isomorphism(q, form) is not None
+                    assert canonical_form(form) == form
+                    forms.add(form)
+                assert len(forms) == 1
+
+    def test_found_automorphisms_generate_the_group(self):
+        for n in range(1, 7):
+            for i, p in enumerate(classes_by_key_dictionary(n)):
+                for q in self.relabellings(p, i):
+                    lab = Labelling.of(q)
+                    group = {tuple(range(n))}
+                    frontier = list(group)
+                    while frontier:
+                        g = frontier.pop()
+                        for h in lab.leaf[2]:
+                            gh = tuple(h[g[x]] for x in range(n))
+                            if gh not in group:
+                                group.add(gh)
+                                frontier.append(gh)
+                    assert group == set(automorphisms_by_backtracking(q))
+
+    def test_crowns_whose_cells_are_not_orbits(self):
+        # a 2-crown beside a 4-crown: one colour per level, two orbits each,
+        # so leaves differ and only the least one is canonical
+        p = crowns(2, 4)
+        form = canonical_form(p)
+        aut = automorphisms_by_backtracking(p)
+        for q in self.relabellings(p, 0):
+            assert canonical_key(q) == canonical_key(p)
+            assert canonical_form(q) == form
+        lab = Labelling.of(p)
+        assert len(set(lab.colors)) == 2
+        assert lab.orbits() == [min(g[x] for g in aut) for x in range(p.n)]
+
+    def test_antichain_is_polynomial(self):
+        # orbit pruning and jumps: 64! orderings, one search
+        assert canonical_key(antichain_poset(64)) == (64, 0)

@@ -9,7 +9,7 @@ from esakia.generators import (
     random_root_system,
     random_tree,
 )
-from esakia.posets import is_forest, is_root_system, is_tree
+from esakia.posets import FinitePoset, is_forest, is_root_system, is_tree
 
 from oracles import class_count_by_min_perm, labeled_poset_count
 
@@ -24,19 +24,27 @@ class TestEnumeration:
         for n in range(1, 5):
             assert len(list(enumerate_posets(n))) == class_count_by_min_perm(n)
 
+    def test_classes_match_the_key_dictionary_oracle(self):
+        # compared by the permutation-scan key, not the key under test
+        from oracles import classes_by_key_dictionary, scan_key
+        for n in range(1, 7):
+            ours = sorted(scan_key(p) for p in enumerate_posets(n))
+            assert ours == sorted(scan_key(p) for p in classes_by_key_dictionary(n))
+
     def test_no_duplicate_classes(self):
         classes = list(enumerate_posets(5))
         keys = {canonical_key(p) for p in classes}
         assert len(keys) == len(classes) == 63
 
     def test_representatives_are_canonical(self):
-        for p in enumerate_posets(4):
-            from esakia.duality import canonical_form
-            assert canonical_form(p) == p
+        from esakia.duality import canonical_form
+        for n in range(1, 8):
+            for p in enumerate_posets(n):
+                assert canonical_form(p) == p
 
     def test_cap(self):
         with pytest.raises(SizeCap):
-            list(enumerate_posets(8))
+            list(enumerate_posets(9))
         with pytest.raises(ValueError):
             list(enumerate_posets(0))
 
@@ -49,6 +57,43 @@ class TestEnumeration:
             total = sum(math.factorial(n) // automorphism_count(p)
                         for p in enumerate_posets(n))
             assert total == labeled_poset_count(n)
+
+    def test_seven_points(self):
+        # A000112: 2045 classes, pairwise non-isomorphic by the scan key;
+        # A001035: 6129859 labelled posets = sum of 7!/|Aut| over the classes
+        import math
+        from oracles import automorphisms_by_backtracking, scan_key
+        seven = list(enumerate_posets(7))
+        assert len(seven) == len({scan_key(p) for p in seven}) == 2045
+        assert sum(math.factorial(7) // len(automorphisms_by_backtracking(p))
+                   for p in seven) == 6129859
+
+    def test_augmentation_keeps_one_orbit_of_maximal_points(self):
+        # crowns(2, 3): all five maximal points share a colour but fall in
+        # two orbits; exactly one orbit, the same under every relabelling,
+        # extends canonically
+        import random
+        from esakia.duality import Labelling
+        from esakia.generators import _extends_canonically
+        from oracles import crowns
+        p = crowns(2, 3)
+        kept_sizes = set()
+        for seed in range(3):
+            perm = random.Random(seed).sample(range(p.n), p.n)
+            q = FinitePoset(p.n, frozenset((perm[a], perm[b]) for a, b in p.covers))
+            lab = Labelling.of(q)
+            maximal = [x for x in range(q.n) if not lab.ups[x]]
+            kept = [v for v in maximal if _extends_canonically(lab, maximal, v)]
+            assert len({lab.orbits()[v] for v in kept}) == 1
+            assert len(kept) == sum(lab.orbits()[x] == lab.orbits()[kept[0]] for x in range(q.n))
+            kept_sizes.add(len(kept))
+        assert len(kept_sizes) == 1
+
+    def test_backtracking_automorphism_count_matches_scan(self):
+        from oracles import automorphism_count, automorphisms_by_backtracking
+        for n in range(1, 6):
+            for p in enumerate_posets(n):
+                assert len(automorphisms_by_backtracking(p)) == automorphism_count(p)
 
 
 class TestRandomGenerators:
