@@ -7,15 +7,16 @@ time, so temporaries stay small.  `lattice_of_sets` ANDs and ORs the
 ascending masks (uint64, or Python ints in object arrays past 64 bits) and
 writes the index of each result into the arrays, read from a dense
 mask-to-index lookup when it has at most k^2 entries and found by binary
-search otherwise; the up and down masks are packed straight from each meet
-row compared with its own index and with the column indices; `leq` reads a
-bit of the up masks; join-irreducibles are read off the down masks by the
-one-lower-cover test in O(k); the members of a prime filter, and so the
-spectrum labels, are read off the generator's meet row.  So the spectrum
-path builds no tuple tables.  The
-tuple-of-tuples views `meet`/`join`, whose entries share k int objects, are
-built on first use, for the callers that read single entries in Python
-loops.
+search otherwise; on the lookup path masks up to 16 bits are uint16 and
+the lookup is int16 whenever k <= 2^15.  The spectrum path reads the meet
+array and builds no per-element Python ints: join-irreducibles come from a
+lower-cover count over the comparison meet == column index, and only the
+generators' meet rows are packed, to order the generators; the prime
+filters, their labels, the spectrum order and `gamma` are read off those
+rows.  The up and down masks of every element, which `leq` reads a bit of,
+are packed from the meet rows only when a caller reads single entries, as
+are the tuple-of-tuples views `meet`/`join`, whose entries share k int
+objects.
 """
 
 from dataclasses import dataclass
@@ -46,6 +47,11 @@ def _packed_rows(flags: np.ndarray) -> list[int]:
     packed = np.packbits(flags, axis=1, bitorder="little")
     raw, width = packed.tobytes(), packed.shape[1]
     return [int.from_bytes(raw[i:i + width], "little") for i in range(0, len(raw), width)]
+
+
+def _index_dtype(k: int):
+    """The narrowest signed dtype used here that holds -1..k-1."""
+    return np.int16 if k <= 1 << 15 else np.int32
 
 
 def _tuple_rows(table: np.ndarray, ids: np.ndarray) -> Table:
@@ -99,25 +105,24 @@ class FiniteLattice:
     def join(self) -> Table:
         return _tuple_rows(self.join_array, self._ids)
 
-    @cached_property
-    def _order_masks(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """(up masks, down masks), read off each meet row: b is above a iff
-        meet[a][b] == a, and below a iff meet[a][b] == b."""
+    def _packed_order(self, own_index: bool) -> tuple[int, ...]:
+        """Per element a, the mask of the b with meet[a][b] == a (own_index:
+        b above a) or meet[a][b] == b (b below a), packed from the meet rows
+        a block at a time."""
         ar = np.arange(self.n)
-        up, down = [], []
+        masks = []
         for rows in _row_blocks(self.n):
-            block = self.meet_array[rows]
-            up.extend(_packed_rows(block == ar[rows, None]))
-            down.extend(_packed_rows(block == ar))
-        return tuple(up), tuple(down)
+            target = ar[rows, None] if own_index else ar
+            masks.extend(_packed_rows(self.meet_array[rows] == target))
+        return tuple(masks)
 
     @cached_property
     def up_masks(self) -> tuple[int, ...]:
-        return self._order_masks[0]
+        return self._packed_order(own_index=True)
 
     @cached_property
     def down_masks(self) -> tuple[int, ...]:
-        return self._order_masks[1]
+        return self._packed_order(own_index=False)
 
     def leq(self, a: int, b: int) -> bool:
         return self.up_masks[a] >> b & 1 == 1
@@ -126,28 +131,40 @@ class FiniteLattice:
     def join_irreducibles(self) -> tuple[int, ...]:
         """Elements with exactly one lower cover, ascending.
 
-        a is join-irreducible iff its strict downset is principal, i.e. is
-        the downset of its one lower cover; the strict downset of the bottom
-        is empty, and no downset is.  In a finite distributive lattice these
-        are exactly the join-prime elements, hence the prime-filter
-        generators.
+        With cnt[a] = |↓a|, a is join-irreducible iff some b <= a has
+        cnt[b] == cnt[a] - 1: then ↓b is the strict downset of a, which is
+        principal exactly when a has one lower cover (the bottom has none).
+        In a finite distributive lattice these are exactly the join-prime
+        elements, hence the prime-filter generators.
         """
-        down = self.down_masks
-        principal = set(down)
-        return tuple(a for a in range(self.n) if down[a] ^ (1 << a) in principal)
+        below = self.meet_array == np.arange(self.n, dtype=self.meet_array.dtype)  # [a, b]: b <= a
+        cnt = np.add.reduce(below.view(np.uint8), axis=1, dtype=_index_dtype(self.n + 1))
+        below &= cnt == (cnt - 1)[:, None]
+        return tuple(np.flatnonzero(below.any(axis=1)).tolist())
+
+    @cached_property
+    def _generator_rows(self) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
+        """(gens, rows, ups): the join-irreducibles g ordered by the mask of
+        the filter ↑g, the boolean rows g ∧ b == g of their meet rows, and
+        those rows packed as masks.  Only the generators' rows are read."""
+        ji = np.array(self.join_irreducibles, dtype=np.intp)
+        rows = self.meet_array[ji] == ji[:, None]
+        ups = _packed_rows(rows)
+        order = np.array(sorted(range(len(ji)), key=ups.__getitem__), dtype=np.intp)
+        return ji[order], rows[order], tuple(ups[i] for i in order.tolist())
 
     @cached_property
     def spectrum_generators(self) -> tuple[int, ...]:
         """Join-irreducibles ordered by the mask of the filter they generate."""
-        return tuple(sorted(self.join_irreducibles, key=self.up_masks.__getitem__))
+        return tuple(self._generator_rows[0].tolist())
 
     @cached_property
     def spectrum_filters(self) -> tuple[tuple[int, ...], ...]:
         """For each spectrum generator g, the members of the prime filter ↑g,
         ascending: the b with g∧b = g, read off the generators' meet rows in
         one numpy pass."""
-        gens = np.array(self.spectrum_generators, dtype=np.intp)
-        rows, cols = np.nonzero(self.meet_array[gens] == gens[:, None])
+        gens, flags, _ = self._generator_rows
+        rows, cols = np.nonzero(flags)
         ends = np.searchsorted(rows, np.arange(1, len(gens) + 1)).tolist()
         cols = cols.tolist()
         return tuple(tuple(cols[lo:hi]) for lo, hi in zip([0] + ends, ends))
@@ -276,14 +293,15 @@ def prime_filters(lat: FiniteLattice) -> list[PrimeFilter]:
 def spectrum(lat: FiniteLattice) -> FinitePoset:
     """Poset of prime filters under inclusion.
 
-    Filter i is below filter j iff generator j is below generator i.
+    Filter i is below filter j iff generator j is below generator i, i.e.
+    g_i is in ↑g_j: read off the generator x generator block of the
+    generators' meet rows.
     """
-    gens = lat.spectrum_generators
-    k = len(gens)
-    pairs = [(i, jdx) for i in range(k) for jdx in range(k)
-             if lat.leq(gens[jdx], gens[i])]
-    labels = tuple("{" + ",".join(map(str, m)) + "}" for m in lat.spectrum_filters)
-    return from_relation(k, pairs, labels)
+    gens, rows, _ = lat._generator_rows
+    names = list(map(str, range(lat.n)))
+    labels = tuple("{" + ",".join(map(names.__getitem__, m)) + "}" for m in lat.spectrum_filters)
+    below, above = np.nonzero(rows[:, gens].T)
+    return from_relation(len(gens), zip(below.tolist(), above.tolist()), labels)
 
 
 def upset_algebra(p: FinitePoset) -> HeytingAlgebra:
@@ -319,22 +337,24 @@ def _index_table(arr: np.ndarray, op) -> np.ndarray:
     Every result lies below 1 << width, width the bit length of the top
     mask.  When 1 << width <= k * k, a dense lookup lut[mask] = index (-1
     off the family) maps the results back, and is no larger than the table
-    being built.  Wider families, every one past 64 bits among them, are
-    mapped back by binary search.
+    being built; the masks are then uint16 up to 16 bits (intp past that)
+    and the lookup int16 when it holds every index, so each block is
+    computed and gathered in narrow types.  Wider families, every one past
+    64 bits among them, are mapped back by binary search.
     """
     k = len(arr)
     table = np.empty((k, k), dtype=np.int32)
     width = int(arr[-1]).bit_length()
     if 1 << width <= k * k:
-        arr = arr.astype(np.intp)  # width <= 2 log2 k < 63; intp indexes uncast
-        lut = np.full(1 << width, -1, dtype=np.int32)
-        lut[arr] = np.arange(k, dtype=np.int32)
+        arr = arr.astype(np.uint16 if width <= 16 else np.intp)
+        lut = np.full(1 << width, -1, dtype=_index_dtype(k))
+        lut[arr] = np.arange(k)
     else:
         lut = None
     for block in _row_blocks(k):
         vals = op(arr[block, None], arr)
         if lut is not None:
-            idx = lut[vals]
+            idx = np.take(lut, vals)
             missing = idx < 0
         else:
             idx = np.searchsorted(arr, vals)
@@ -376,4 +396,4 @@ def gamma(lat: FiniteLattice, a: int) -> frozenset[int]:
     """Spectrum indices of the prime filters containing a."""
     if not 0 <= a < lat.n:
         raise ValueError("element out of range")
-    return frozenset(i for i, g in enumerate(lat.spectrum_generators) if lat.leq(g, a))
+    return frozenset(i for i, up in enumerate(lat._generator_rows[2]) if up >> a & 1)

@@ -75,25 +75,15 @@ class FiniteTopology:
 
 
 def union_closure(masks: list[int]) -> list[int]:
-    """All unions of subfamilies (empty -> 0), deduplicated."""
-    seen = {0}
-    out = [0]
-    work = []
-    gens = list(dict.fromkeys(masks))
-    for m in gens:
-        if m not in seen:
-            seen.add(m)
-            out.append(m)
-            work.append(m)
-    while work:
-        u = work.pop()
-        for g in gens:
-            v = u | g
-            if v not in seen:
-                seen.add(v)
-                out.append(v)
-                work.append(v)
-    return out
+    """All unions of subfamilies (empty -> 0), deduplicated, ascending.
+
+    Closes one generator at a time: the unions of the first i + 1
+    generators are those of the first i, each with and without g_i.
+    """
+    out = {0}
+    for g in masks:
+        out |= {u | g for u in out}
+    return sorted(out)
 
 
 def generate_base(subbase: list[frozenset[int]], carrier_size: int) -> FiniteTopology:
@@ -169,7 +159,7 @@ def clopen_upsets(p: FinitePoset, t: FiniteTopology) -> list[frozenset[int]]:
     """All upsets of p that are open with open complement, ascending by mask:
     the unions of the least clopen upsets C[x], since each clopen upset is
     the union of the C[x] of its points."""
-    return [points_of(m) for m in sorted(union_closure(least_clopen_upsets(p, t)))]
+    return [points_of(m) for m in union_closure(least_clopen_upsets(p, t))]
 
 
 @dataclass(frozen=True)
@@ -186,8 +176,10 @@ def priestley_check(p: FinitePoset, t: FiniteTopology) -> PriestleyReport:
     """Every clopen upset holding x contains C[x], so x ≰ y is separated iff
     y ∉ C[x], and C[x] is then the first separating clopen upset by mask."""
     least = list(enumerate(least_clopen_upsets(p, t)))
-    witnesses = {(x, y): points_of(c)
-                 for x, c in least for y in bits(p.full & ~p.up_masks[x] & ~c)}
+    witnesses = {}
+    for x, c in least:  # one witness set per x, shared by its pairs
+        witnesses.update(dict.fromkeys([(x, y) for y in bits(p.full & ~p.up_masks[x] & ~c)],
+                                       points_of(c)))
     failures = tuple((x, y) for x, c in least for y in bits(c & ~p.up_masks[x]))
     return PriestleyReport(not failures, witnesses, failures)
 

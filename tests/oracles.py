@@ -7,7 +7,9 @@ them deduplicates a level in one key dictionary), automorphisms are counted
 by plain permutation scan and by colour-pruned backtracking, prime filters are
 found by filtering all upsets through the definition, lattice tables come
 from a dict lookup per pair, order masks from scanning meet rows,
-join-irreducibles from folding joins over strict downsets, spectrum labels
+join-irreducibles from folding joins over strict downsets and from the
+one-lower-cover test on the down masks, spectrum generators ordered by
+their up masks, spectra from asking `leq` pair by pair, spectrum labels
 and prime-filter members from the bits of the up masks, openness
 oracles close the subbase under intersections and scan that whole base or
 materialize full open-set families, clopen upsets, Priestley witnesses and
@@ -276,17 +278,6 @@ def lattice_tables_by_lookup(sets) -> FiniteLattice:
     return FiniteLattice(k, np.array(meet), np.array(join), index[bot], index[top])
 
 
-def spectrum_labels_by_bit_scan(lat) -> tuple[str, ...]:
-    """Spectrum labels: each generator's filter members, read by walking the
-    bits of its up mask."""
-    return tuple("{" + ",".join(map(str, bits(lat.up_masks[g]))) + "}"
-                 for g in lat.spectrum_generators)
-
-
-def prime_filters_by_bit_scan(lat) -> list[frozenset[int]]:
-    """Prime-filter members in spectrum order, from the bits of each
-    generator's up mask."""
-    return [points_of(lat.up_masks[g]) for g in lat.spectrum_generators]
 
 
 def order_masks_by_scan(lat) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -312,6 +303,41 @@ def join_irreducibles_by_fold(lat) -> tuple[int, ...]:
         if acc != a:
             out.append(a)
     return tuple(out)
+
+
+def join_irreducibles_by_down_masks(lat) -> tuple[int, ...]:
+    """The one-lower-cover test on the packed down masks: a is
+    join-irreducible iff its strict downset is some element's downset."""
+    down = lat.down_masks
+    principal = set(down)
+    return tuple(a for a in range(lat.n) if down[a] ^ (1 << a) in principal)
+
+
+def spectrum_generators_by_up_masks(lat) -> tuple[int, ...]:
+    """Join-irreducibles of the down-mask test, sorted by their up masks."""
+    return tuple(sorted(join_irreducibles_by_down_masks(lat), key=lat.up_masks.__getitem__))
+
+
+def spectrum_labels_by_bit_scan(lat) -> tuple[str, ...]:
+    """Spectrum labels: each generator's filter members, read by walking the
+    bits of its up mask."""
+    return tuple("{" + ",".join(map(str, bits(lat.up_masks[g]))) + "}"
+                 for g in spectrum_generators_by_up_masks(lat))
+
+
+def prime_filters_by_bit_scan(lat) -> list[frozenset[int]]:
+    """Prime-filter members in spectrum order, from the bits of each
+    generator's up mask."""
+    return [points_of(lat.up_masks[g]) for g in spectrum_generators_by_up_masks(lat)]
+
+
+def spectrum_by_pairwise_leq(lat) -> FinitePoset:
+    """The spectrum with filter i below filter j iff lat.leq(g_j, g_i),
+    asked pair by pair, labelled by the bit scans of the up masks."""
+    gens = spectrum_generators_by_up_masks(lat)
+    k = len(gens)
+    pairs = [(i, j) for i in range(k) for j in range(k) if lat.leq(gens[j], gens[i])]
+    return from_relation(k, pairs, spectrum_labels_by_bit_scan(lat))
 
 
 def implication_by_max_scan(lat, b: int, c: int) -> int:

@@ -5,7 +5,10 @@ views `meet`/`join` and `leq` are checked against the same references.
 `lattice_of_sets` maps results back to indices through a dense lookup or,
 for wide families, by binary search; every closed and unclosed family is
 also shifted onto the binary-search path and compared.  Spectrum labels and
-prime filters are checked against the bit scans of the up masks."""
+prime filters are checked against the bit scans of the up masks, and the
+spectrum path (lower-cover counts, generator rows) against the down-mask
+test, the up-mask generator order and a spectrum built from `leq` pair by
+pair."""
 
 import random
 
@@ -13,19 +16,22 @@ import numpy as np
 import pytest
 
 from esakia._bits import mask_of
-from esakia.algebra import BLOCK, lattice_of_sets, prime_filters, spectrum, upset_algebra
+from esakia.algebra import BLOCK, gamma, lattice_of_sets, prime_filters, spectrum, upset_algebra
 from esakia.constructions import gallery, root_topology_check
 from esakia.duality import poset_isomorphism
 from esakia.errors import NotALattice
-from esakia.generators import enumerate_posets
+from esakia.generators import enumerate_posets, random_root_system
 from esakia.posets import is_root_system, upsets_of
 from esakia.topology import clopen_upsets
 
 from oracles import (
+    join_irreducibles_by_down_masks,
     join_irreducibles_by_fold,
     lattice_tables_by_lookup,
     order_masks_by_scan,
     prime_filters_by_bit_scan,
+    spectrum_by_pairwise_leq,
+    spectrum_generators_by_up_masks,
     spectrum_labels_by_bit_scan,
 )
 
@@ -146,6 +152,8 @@ class TestAgainstScans:
         lat = lattice_of_sets(fan_clopens(8))
         assert poset_isomorphism(spectrum(lat), gallery("figure2", 8)) is not None
         assert "meet" not in vars(lat) and "join" not in vars(lat)
+        # nor the packed order masks of every element
+        assert "up_masks" not in vars(lat) and "down_masks" not in vars(lat)
 
     @pytest.mark.parametrize("top", [63, 64, 100])
     def test_points_at_and_past_64_bits(self, top):
@@ -188,6 +196,30 @@ class TestAgainstScans:
             assert got == ("family-not-closed", (mask_of(family[drop]),))
             assert_binary_search_agrees(unclosed, searches)
 
+    @pytest.mark.parametrize("low,lookup", [
+        (7, (np.uint16, np.int16)),  # top mask width 16: uint16 masks
+        (8, (np.intp, np.int16)),    # width 17: intp masks
+        (10, None),                  # width 19: 1 << 19 > 512 * 512, binary search
+    ])
+    def test_mask_width_boundaries(self, low, lookup, searches, monkeypatch):
+        # the powerset of the 9 points low..low+8, k = 512 members
+        taken = []
+        real = np.take
+
+        def spy(a, indices, *args, **kwargs):
+            taken.append((indices.dtype, a.dtype))
+            return real(a, indices, *args, **kwargs)
+
+        monkeypatch.setattr(np, "take", spy)
+        family = [{low + i for i in range(9) if m >> i & 1} for m in range(512)]
+        assert_same_outcome(family)
+        assert bool(searches) == (lookup is None)
+        assert set(taken) == ({tuple(map(np.dtype, lookup))} if lookup else set())
+        for drop in (1, 300, 511):
+            missing = family[:drop] + family[drop + 1:]
+            got = assert_same_outcome(missing)
+            assert got[0] == "family-not-closed"
+
     @pytest.mark.parametrize("top,searched", [(4, False), (5, True)])
     @pytest.mark.parametrize("closed", [True, False])
     def test_lookup_rule_boundary(self, top, searched, closed, searches):
@@ -222,3 +254,50 @@ class TestSpectrumLabels:
 
     def test_eleven_point_fan(self):
         self.assert_matches_bit_scans(lattice_of_sets(fan_clopens(8)))
+
+
+def spectrum_families(group: str) -> list:
+    """Families whose lattices the spectrum path is checked on: the upsets
+    of every poset class with n <= 6 (405), the clopen upsets of
+    random_root_system(s, 8..11) for s < 30 (120) and of figure2(2..8) (7)."""
+    if group == "upsets":
+        return [upsets_of(p) for p in classes_upto(6)]
+    if group == "roots":
+        systems = [random_root_system(s, n) for s in range(30) for n in range(8, 12)]
+    else:
+        systems = [gallery("figure2", n) for n in range(2, 9)]
+    return [clopen_upsets(p, root_topology_check(p)) for p in systems]
+
+
+class TestSpectrumPathAgainstOracles:
+    """Join-irreducibles by lower-cover counts, generators ordered by their
+    packed rows, filters and the spectrum read off the generator rows,
+    against the packed-mask forms they replaced and the join fold."""
+
+    @pytest.mark.parametrize("group,count", [("upsets", 405), ("roots", 120), ("fans", 7)])
+    def test_families(self, group, count):
+        families = spectrum_families(group)
+        assert len(families) == count
+        for family in families:
+            lat = lattice_of_sets(family)
+            ji = join_irreducibles_by_down_masks(lat)
+            assert lat.join_irreducibles == ji == join_irreducibles_by_fold(lat)
+            assert lat.spectrum_generators == spectrum_generators_by_up_masks(lat)
+            assert lat.spectrum_filters == tuple(
+                tuple(b for b in range(lat.n) if lat.leq(g, b)) for g in lat.spectrum_generators)
+            got, ref = spectrum(lat), spectrum_by_pairwise_leq(lat)
+            assert (got.n, got.covers, got.labels) == (ref.n, ref.covers, ref.labels)
+
+    def test_one_element_lattice(self):
+        lat = lattice_of_sets([set()])
+        assert lat.join_irreducibles == lat.spectrum_generators == ()
+        assert spectrum(lat).n == 0 and gamma(lat, 0) == frozenset()
+
+    def test_gamma_reads_the_generator_rows(self):
+        # gamma needs no packed order masks of the whole lattice
+        lat = lattice_of_sets(fan_clopens(5))
+        got = [gamma(lat, a) for a in range(lat.n)]
+        assert "up_masks" not in vars(lat) and "down_masks" not in vars(lat)
+        gens = spectrum_generators_by_up_masks(lat)
+        assert got == [frozenset(i for i, g in enumerate(gens) if lat.leq(g, a))
+                       for a in range(lat.n)]

@@ -111,6 +111,9 @@ def assert_matches_clopen_scans(p, t: FiniteTopology):
     assert rep.holds == ref.holds, (p, t)
     assert list(rep.witnesses.items()) == list(ref.witnesses.items()), (p, t)
     assert rep.failures == ref.failures, (p, t)
+    # one witness set per point x, shared by every pair (x, y)
+    for x in range(p.n):
+        assert len({id(w) for (x2, _), w in rep.witnesses.items() if x2 == x}) <= 1
     assert clopen_upsets(p, t) == clopen_upsets_by_scan(p, t), (p, t)
     assert esakia_check(p, t) == esakia_by_scan(p, t), (p, t)
 

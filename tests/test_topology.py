@@ -120,7 +120,14 @@ class TestIsOpen:
 
 class TestUnionClosure:
     def test_every_union_of_the_generators(self):
-        assert sorted(union_closure([0b01, 0b10])) == [0, 1, 2, 3]
+        assert union_closure([0b10, 0b01]) == [0, 1, 2, 3]
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_ascending_and_equal_to_all_unions(self, seed):
+        rng = random.Random(f"unions:{seed}")
+        gens = [rng.randrange(1 << 9) for _ in range(rng.randrange(8))]
+        gens += gens[:2]  # repeated generators add nothing
+        assert union_closure(gens) == sorted(unions(gens))
 
 
 class TestDiscrete:
