@@ -8,13 +8,11 @@ from .algebra import (
     HeytingAlgebra,
     PrimeFilter,
     gamma,
-    heyting_complete,
     is_godel,
     lattice_of_sets,
     prime_filters,
     spectrum,
     upset_algebra,
-    upset_algebra_elements,
     validate_lattice,
 )
 from .constructions import (
@@ -30,7 +28,6 @@ from .constructions import (
     cone_witness,
     cover_downset,
     downset_open_check,
-    extract_subcover,
     gallery,
     promoted_open_in_subbase,
     root_subbase,
@@ -47,7 +44,6 @@ from .documents import (
     lattice_to_document,
     parse_lattice,
     parse_poset,
-    parse_topology,
     poset_to_document,
     topology_to_document,
 )
@@ -88,7 +84,6 @@ from .posets import (
     is_tree,
     is_well_ordered,
     order_dual,
-    order_open_family,
     order_subcover,
     upset,
     upsets_of,
@@ -100,9 +95,7 @@ from .topology import (
     esakia_check,
     generate_base,
     is_discrete,
-    is_open,
     priestley_check,
-    subbase_subcover,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -13,10 +13,9 @@ array and builds no per-element Python ints: join-irreducibles come from a
 lower-cover count over the comparison meet == column index, and only the
 generators' meet rows are packed, to order the generators; the prime
 filters, their labels, the spectrum order and `gamma` are read off those
-rows.  The up and down masks of every element, which `leq` reads a bit of,
-are packed from the meet rows only when a caller reads single entries, as
-are the tuple-of-tuples views `meet`/`join`, whose entries share k int
-objects.
+rows.  The up mask of every element, which `leq` reads a bit of, is packed
+from the meet rows only when a caller reads single entries, as are the
+tuple-of-tuples views `meet`/`join`, whose entries share k int objects.
 """
 
 from dataclasses import dataclass
@@ -26,7 +25,7 @@ from itertools import islice
 import numpy as np
 
 from ._bits import mask_of, points_of
-from .errors import NoMaximum, NotALattice, NotDistributive
+from .errors import NotALattice, NotDistributive
 from .posets import FinitePoset, antichain_masks, from_relation, upset_masks
 
 TABLE_CAP = 128
@@ -105,24 +104,15 @@ class FiniteLattice:
     def join(self) -> Table:
         return _tuple_rows(self.join_array, self._ids)
 
-    def _packed_order(self, own_index: bool) -> tuple[int, ...]:
-        """Per element a, the mask of the b with meet[a][b] == a (own_index:
-        b above a) or meet[a][b] == b (b below a), packed from the meet rows
-        a block at a time."""
+    @cached_property
+    def up_masks(self) -> tuple[int, ...]:
+        """Per element a, the mask of the b >= a (meet[a][b] == a), packed
+        from the meet rows a block at a time."""
         ar = np.arange(self.n)
         masks = []
         for rows in _row_blocks(self.n):
-            target = ar[rows, None] if own_index else ar
-            masks.extend(_packed_rows(self.meet_array[rows] == target))
+            masks.extend(_packed_rows(self.meet_array[rows] == ar[rows, None]))
         return tuple(masks)
-
-    @cached_property
-    def up_masks(self) -> tuple[int, ...]:
-        return self._packed_order(own_index=True)
-
-    @cached_property
-    def down_masks(self) -> tuple[int, ...]:
-        return self._packed_order(own_index=False)
 
     def leq(self, a: int, b: int) -> bool:
         return self.up_masks[a] >> b & 1 == 1
@@ -239,30 +229,6 @@ class HeytingAlgebra:
         return self.lattice.n
 
 
-def heyting_complete(lat: FiniteLattice) -> HeytingAlgebra:
-    """Adjoin the implication: implies[b][c] = max {a : a∧b <= c}.
-
-    The candidate set is a join-closed downset, so its maximum is the join of
-    the join-irreducibles it contains; membership of the result is re-checked
-    and NoMaximum raised on failure (unreachable for valid input).
-    """
-    n = lat.n
-    ji = lat.join_irreducibles
-    rows = []
-    for b in range(n):
-        row = []
-        for c in range(n):
-            acc = lat.bottom
-            for a in ji:
-                if lat.leq(lat.meet[a][b], c):
-                    acc = lat.join[acc][a]
-            if not lat.leq(lat.meet[acc][b], c):
-                raise NoMaximum(f"no maximum for {b} -> {c}")
-            row.append(acc)
-        rows.append(tuple(row))
-    return HeytingAlgebra(lat, tuple(rows))
-
-
 @dataclass(frozen=True)
 class GodelCheck:
     holds: bool
@@ -322,11 +288,6 @@ def upset_algebra(p: FinitePoset) -> HeytingAlgebra:
             row.append(index[m])
         imp_rows.append(tuple(row))
     return HeytingAlgebra(lat, tuple(imp_rows))
-
-
-def upset_algebra_elements(p: FinitePoset) -> tuple[frozenset[int], ...]:
-    """Carrier of upset_algebra(p) as point sets, in element-index order."""
-    return tuple(points_of(m) for m in upset_masks(p))
 
 
 def _index_table(arr: np.ndarray, op) -> np.ndarray:

@@ -563,11 +563,6 @@ def _check_round(st, frontier, nxt, earlier, selected, masks, cover):
         raise ConstructionCheckFailure("selection misses points off the frontier's upset")
 
 
-def extract_subcover(st: StagedTopology, cover: list[int]) -> list[int]:
-    """Finite subcover (as subbase indices) via the frontier engine."""
-    return list(run_cover_engine(st, cover).selected)
-
-
 # -- separation and downset openness -------------------------------------------
 
 def separation_witness(st: StagedTopology, x: int, y: int) -> frozenset[int]:

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 from .algebra import FiniteLattice, check_upset_cap, lattice_of_sets, validate_lattice
 from .errors import ParseError
 from .posets import FinitePoset, upsets_of
-from .topology import FiniteTopology, generate_base
+from .topology import FiniteTopology
 
 
 def poset_to_document(p: FinitePoset, kind: str | None = None) -> dict:
@@ -71,17 +71,6 @@ def topology_to_document(t: FiniteTopology) -> dict:
         "carrier_size": t.carrier_size,
         "subbase": [sorted(s) for s in t.subbase],
     }
-
-
-def parse_topology(text: str) -> FiniteTopology:
-    doc = _load_json(text)
-    size = doc.get("carrier_size")
-    sub = doc.get("subbase")
-    if type(size) is not int or size < 0:
-        raise ParseError("'carrier_size' must be a nonnegative integer")
-    if not isinstance(sub, list) or not all(map(_int_list, sub)):
-        raise ParseError("'subbase' must be a list of index arrays")
-    return generate_base([frozenset(s) for s in sub], size)
 
 
 def lattice_to_document(lat: FiniteLattice) -> dict:

@@ -412,11 +412,6 @@ def order_open_masks(p: FinitePoset) -> frozenset[int]:
     return frozenset(range(1 << p.n))
 
 
-def order_open_family(p: FinitePoset) -> list[frozenset[int]]:
-    """The order-open sets, sorted by mask value."""
-    return [points_of(m) for m in sorted(order_open_masks(p))]
-
-
 def interval_complement_order_open(p: FinitePoset, ys: Iterable[int],
                                    zs: Iterable[int]) -> bool:
     """Whether the complement of upset(ys) ∩ downset(zs) is order-open.

@@ -14,12 +14,14 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from ._bits import bits, full_mask, mask_of, points_of
-from .errors import NotACover, OversizeSubbase
+from .errors import OversizeSubbase
 from .posets import FinitePoset
 
-# Public subbases are refused above this many distinct sets: the spectrum
-# round trip of `verify` materializes the clopen-upset lattice, which grows
-# exponentially with the number of points.
+# Public subbases are refused above this many distinct sets.  The cap no
+# longer guards memory: `verify` gates its spectrum round trip, which
+# materializes the clopen-upset lattice, on algebra.UPSET_CAP instead.  It
+# stays because the root-systems workload of perfbench/ counts its
+# OversizeSubbase refusals.
 PUBLIC_SUBBASE_CAP = 20
 
 
@@ -101,37 +103,9 @@ def generate_base(subbase: list[frozenset[int]], carrier_size: int) -> FiniteTop
     return FiniteTopology(carrier_size, tuple(points_of(m) for m in masks))
 
 
-def is_open(t: FiniteTopology, s) -> bool:
-    """True iff s holds the least neighbourhood of each of its points."""
-    m = mask_of(s)
-    if m & ~t.full:
-        raise ValueError("point set exceeds the carrier")
-    return t.is_open_mask(m)
-
-
 def is_discrete(t: FiniteTopology) -> bool:
     """Every point is its own least neighbourhood."""
     return all(nb == 1 << x for x, nb in enumerate(t.neighbourhoods))
-
-
-def subbase_subcover(t: FiniteTopology, cover: list[int]) -> list[int]:
-    """Greedy subcover from subbase indices: largest set first, then lowest
-    index; indices contributing no new points are skipped."""
-    masks = [t.subbase_masks[i] for i in cover]
-    union = 0
-    for m in masks:
-        union |= m
-    if union != t.full:
-        raise NotACover("indexed subbase sets do not cover the carrier")
-    chosen = []
-    covered = 0
-    for k in sorted(range(len(cover)), key=lambda k: (-masks[k].bit_count(), cover[k])):
-        if masks[k] & ~covered:
-            chosen.append(cover[k])
-            covered |= masks[k]
-            if covered == t.full:
-                break
-    return chosen
 
 
 def least_clopen_upsets(p: FinitePoset, t: FiniteTopology) -> tuple[int, ...]:

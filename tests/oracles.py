@@ -8,9 +8,10 @@ by plain permutation scan and by colour-pruned backtracking, prime filters are
 found by filtering all upsets through the definition, lattice tables come
 from a dict lookup per pair, order masks from scanning meet rows,
 join-irreducibles from folding joins over strict downsets and from the
-one-lower-cover test on the down masks, spectrum generators ordered by
-their up masks, spectra from asking `leq` pair by pair, spectrum labels
-and prime-filter members from the bits of the up masks, openness
+one-lower-cover test on the scanned down masks, spectrum generators ordered
+by their up masks, spectra from asking `leq` pair by pair, spectrum labels
+and prime-filter members from the bits of the up masks, Heyting implication
+from folding joins over join-irreducibles or from a maximum scan, openness
 oracles close the subbase under intersections and scan that whole base or
 materialize full open-set families, clopen upsets, Priestley witnesses and
 the Esakia check filter every upset of the poset, the order-open family is a
@@ -23,8 +24,8 @@ import itertools
 import numpy as np
 
 from esakia._bits import bits, full_mask, mask_of, points_of, subsets
-from esakia.algebra import FiniteLattice
-from esakia.errors import CarrierTooLarge, NotALattice
+from esakia.algebra import FiniteLattice, HeytingAlgebra
+from esakia.errors import CarrierTooLarge, NoMaximum, NotALattice
 from esakia.posets import ORDER_OPEN_CAP, FinitePoset, from_relation, upset_masks
 from esakia.topology import PriestleyReport
 
@@ -306,9 +307,9 @@ def join_irreducibles_by_fold(lat) -> tuple[int, ...]:
 
 
 def join_irreducibles_by_down_masks(lat) -> tuple[int, ...]:
-    """The one-lower-cover test on the packed down masks: a is
+    """The one-lower-cover test on the scanned down masks: a is
     join-irreducible iff its strict downset is some element's downset."""
-    down = lat.down_masks
+    _, down = order_masks_by_scan(lat)
     principal = set(down)
     return tuple(a for a in range(lat.n) if down[a] ^ (1 << a) in principal)
 
@@ -346,6 +347,30 @@ def implication_by_max_scan(lat, b: int, c: int) -> int:
     maxes = [m for m in s if all(lat.leq(a, m) for a in s)]
     assert len(maxes) == 1, "candidate set must have a unique maximum"
     return maxes[0]
+
+
+def heyting_complete(lat: FiniteLattice) -> HeytingAlgebra:
+    """Adjoin the implication: implies[b][c] = max {a : a∧b <= c}.
+
+    The candidate set is a join-closed downset, so its maximum is the join of
+    the join-irreducibles it contains; membership of the result is re-checked
+    and NoMaximum raised on failure (unreachable for valid input).
+    """
+    n = lat.n
+    ji = lat.join_irreducibles
+    rows = []
+    for b in range(n):
+        row = []
+        for c in range(n):
+            acc = lat.bottom
+            for a in ji:
+                if lat.leq(lat.meet[a][b], c):
+                    acc = lat.join[acc][a]
+            if not lat.leq(lat.meet[acc][b], c):
+                raise NoMaximum(f"no maximum for {b} -> {c}")
+            row.append(acc)
+        rows.append(tuple(row))
+    return HeytingAlgebra(lat, tuple(rows))
 
 
 def intersection_closure(masks: list[int], full: int) -> list[int]:

@@ -3,13 +3,11 @@ from hypothesis import given, settings
 
 from esakia.algebra import (
     gamma,
-    heyting_complete,
     is_godel,
     lattice_of_sets,
     prime_filters,
     spectrum,
     upset_algebra,
-    upset_algebra_elements,
     validate_lattice,
 )
 from esakia.errors import NotALattice, NotDistributive
@@ -18,6 +16,7 @@ from esakia.posets import FinitePoset, is_root_system, upsets_of
 from conftest import posets
 from oracles import (
     fs,
+    heyting_complete,
     implication_by_max_scan,
     mask,
     prime_filters_brute,
@@ -113,7 +112,7 @@ class TestHeytingComplete:
     def test_vee_upset_algebra_by_bruteforce_max(self, zoo):
         lat = upset_algebra(zoo["vee"]).lattice
         h = heyting_complete(lat)
-        els = upset_algebra_elements(zoo["vee"])
+        els = upsets_of(zoo["vee"])
         i1, i2 = els.index(fs(1)), els.index(fs(2))
         assert els[h.implies[i1][i2]] == fs(2)
 
@@ -146,7 +145,7 @@ class TestGodel:
         assert is_godel(upset_algebra(zoo["lam"])).holds
 
     def test_vee_counterexample(self, zoo):
-        els = upset_algebra_elements(zoo["vee"])
+        els = upsets_of(zoo["vee"])
         check = is_godel(upset_algebra(zoo["vee"]))
         assert not check.holds
         x, y = check.counterexample
@@ -197,7 +196,7 @@ class TestUpsetAlgebra:
         assert lat.n == 4 and len(lat.join_irreducibles) == 2
 
     def test_vee_implication_formula(self, zoo):
-        els = upset_algebra_elements(zoo["vee"])
+        els = upsets_of(zoo["vee"])
         h = upset_algebra(zoo["vee"])
         assert els[h.implies[els.index(fs(1))][els.index(fs(2))]] == fs(2)
 

@@ -20,7 +20,6 @@ from esakia.documents import (
     export_dot,
     parse_lattice,
     parse_poset,
-    parse_topology,
     poset_to_document,
     topology_to_document,
 )
@@ -31,8 +30,8 @@ from esakia.errors import (
     NotALattice,
     ParseError,
 )
-from esakia.posets import ORDER_OPEN_CAP, FinitePoset
-from esakia.topology import PUBLIC_SUBBASE_CAP
+from esakia.posets import FinitePoset
+from esakia.topology import PUBLIC_SUBBASE_CAP, generate_base
 
 from conftest import posets
 
@@ -99,21 +98,9 @@ class TestLatticeDocuments:
 class TestTopologyDocuments:
     def test_round_trip(self, zoo):
         st = staged_topology(zoo["chain2"])
-        doc = topology_to_document(st.final)
-        t = parse_topology(json.dumps(doc))
+        doc = json.loads(json.dumps(topology_to_document(st.final)))
+        t = generate_base([frozenset(s) for s in doc["subbase"]], doc["carrier_size"])
         assert set(t.subbase) == set(st.final.subbase)
-
-    def test_parse_errors(self):
-        with pytest.raises(ParseError):
-            parse_topology('{"carrier_size": "x", "subbase": []}')
-
-    @pytest.mark.parametrize("doc", [
-        {"carrier_size": True, "subbase": [[0]]}, {"carrier_size": 2, "subbase": [[False]]},
-        {"carrier_size": 2, "subbase": [0]}])
-    def test_booleans_are_not_integers(self, doc):
-        # Python's bool is an int, a JSON boolean is not
-        with pytest.raises(ParseError):
-            parse_topology(json.dumps(doc))
 
 
 class TestDot:
@@ -302,20 +289,16 @@ class TestCli:
         assert code == 2 and report.input_digest == digest(text)
         assert report.verdicts[0].name == "input-readable"
 
-    def test_verify_reports_order_open_past_twelve_points(self, tmp_path):
-        p = gallery("figure1", 12)
-        assert p.n == 13
-        path = write(tmp_path, "f1.json", emit_poset(p))
-        report, code = run_command(["verify", path])
+    def test_verify_reports_order_open_past_sixteen_points(self, tmp_path):
+        # an N shape beside 13 isolated points: neither a tree nor a root system
+        p = FinitePoset(17, frozenset({(0, 2), (1, 2), (1, 3)}))
+        report, code = run_command(["verify", write(tmp_path, "n17.json", emit_poset(p))])
         assert code == 0
         verdicts = {v.name: v.passed for v in report.verdicts}
         for name in ("order-open-family-is-powerset", "interval-complements-order-open",
                      "order-subcover-covers"):
             assert verdicts[name]
         assert "double-dual-poset-canonical" not in verdicts
-        assert report.data["skipped"] == [
-            {"suite": "duality", "cap": VERIFY_ALGEBRA_CAP,
-             "detail": f"carriers above {VERIFY_ALGEBRA_CAP} points"}]
 
     def test_verify_skips_root_suite_past_the_subbase_cap(self, tmp_path):
         # the 12-point fan has 22 distinct subbase sets
@@ -343,14 +326,35 @@ class TestCli:
             ("root-topology-esakia", "root-system topology failed the Esakia checks")]
         assert "skipped" not in report.data
 
-    def test_verify_names_both_skipped_suites_past_sixteen_points(self, tmp_path):
-        # an N shape beside 13 isolated points: neither a tree nor a root system
+    def test_verify_skips_only_the_duality_suite_past_sixteen_points(self, tmp_path):
         p = FinitePoset(17, frozenset({(0, 2), (1, 2), (1, 3)}))
-        path = write(tmp_path, "n17.json", emit_poset(p))
+        report, code = run_command(["verify", write(tmp_path, "n17.json", emit_poset(p))])
+        assert code == 0
+        assert report.data["skipped"] == [
+            {"suite": "duality", "cap": VERIFY_ALGEBRA_CAP,
+             "detail": f"carriers above {VERIFY_ALGEBRA_CAP} points"}]
+
+    def test_verify_round_trip_at_769_upsets(self, tmp_path):
+        # the 11-point fan: 769 upsets, under the upset cap
+        path = write(tmp_path, "fan.json", emit_poset(gallery("figure2", 8)))
         report, code = run_command(["verify", path])
         assert code == 0
-        assert [(s["suite"], s["cap"]) for s in report.data["skipped"]] == [
-            ("order-open", ORDER_OPEN_CAP), ("duality", VERIFY_ALGEBRA_CAP)]
+        assert {v.name: v.passed for v in report.verdicts}["root-spectrum-roundtrip"]
+        assert [s["suite"] for s in report.data["skipped"]] == ["duality"]
+
+    @pytest.mark.parametrize("n", [11, 16])
+    def test_verify_skips_the_round_trip_past_the_upset_cap(self, tmp_path, n):
+        # an n-point antichain is a root system of n singleton components:
+        # n subbase sets, under the subbase cap, but 2^n upsets
+        path = write(tmp_path, "anti.json", emit_poset(FinitePoset(n, frozenset())))
+        report, code = run_command(["verify", path])
+        assert code == 0
+        verdicts = {v.name: v.passed for v in report.verdicts}
+        assert verdicts["root-topology-esakia"] and verdicts["root-topology-discrete"]
+        assert "root-spectrum-roundtrip" not in verdicts
+        assert report.data["skipped"][-1] == {
+            "suite": "root-spectrum-roundtrip", "cap": UPSET_CAP,
+            "detail": f"carrier-cap fails at ({UPSET_CAP + 1}, {UPSET_CAP})"}
 
     def test_module_entry_point(self):
         src = str(Path(esakia.__file__).resolve().parents[1])

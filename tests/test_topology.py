@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from esakia.errors import NotACover, OversizeSubbase
+from esakia.errors import OversizeSubbase
 from esakia.posets import FinitePoset, upsets_of
 from esakia.topology import (
     FiniteTopology,
@@ -12,9 +12,7 @@ from esakia.topology import (
     esakia_check,
     generate_base,
     is_discrete,
-    is_open,
     priestley_check,
-    subbase_subcover,
     union_closure,
 )
 
@@ -41,7 +39,7 @@ class TestGenerateBase:
         t = generate_base([fs()], 2)
         assert t.subbase == (fs(),)
         assert t.base == (fs(0, 1),)
-        assert is_open(t, fs())
+        assert t.is_open_mask(0)
 
     def test_oversize(self):
         sets = [fs(i) for i in range(21)]
@@ -80,12 +78,15 @@ class TestGenerateBase:
 
 class TestIsOpen:
     def test_discrete(self):
-        assert is_open(discrete_on(3), fs(0, 2))
+        assert discrete_on(3).is_open_mask(mask(fs(0, 2)))
 
     def test_indiscrete(self):
         t = generate_base([], 2)
-        assert not is_open(t, fs(0))
-        assert is_open(t, fs()) and is_open(t, fs(0, 1))
+        assert not t.is_open_mask(mask(fs(0)))
+        assert t.is_open_mask(mask(fs())) and t.is_open_mask(mask(fs(0, 1)))
+
+    def test_points_past_the_carrier_are_not_open(self):
+        assert not discrete_on(2).is_open_mask(0b100)
 
     def test_pointwise_decision_on_unclosed_subbase(self):
         # subbase given directly, not intersection-closed: point 1's least
@@ -98,7 +99,7 @@ class TestIsOpen:
 
     @given(posets(max_n=6), st.integers(0, 2**20))
     @settings(max_examples=40, deadline=None)
-    def test_agrees_with_union_closure_oracle(self, p, seed):
+    def test_agrees_with_all_opens_oracle(self, p, seed):
         rng = random.Random(seed)
         sub = [frozenset(x for x in range(p.n) if rng.random() < 0.5)
                for _ in range(rng.randrange(5))]
@@ -135,25 +136,6 @@ class TestDiscrete:
         assert is_discrete(discrete_on(1))
         assert not is_discrete(generate_base([], 2))
         assert is_discrete(discrete_on(3))
-
-
-class TestSubbaseSubcover:
-    def test_largest_first(self):
-        t = generate_base([fs(0), fs(1), fs(0, 1), fs()], 2)
-        assert subbase_subcover(t, [0, 1, 2, 3]) == [2]
-
-    def test_without_full_set(self):
-        t = generate_base([fs(0), fs(1)], 2)
-        assert subbase_subcover(t, [0, 1]) == [0, 1]
-
-    def test_whole_carrier_member(self):
-        t = generate_base([fs(0, 1)], 2)
-        assert subbase_subcover(t, [0]) == [0]
-
-    def test_not_a_cover(self):
-        t = generate_base([fs(0), fs(1)], 2)
-        with pytest.raises(NotACover):
-            subbase_subcover(t, [0])
 
 
 class TestClopenUpsets:
