@@ -30,10 +30,13 @@ from esakia.errors import (
     NotALattice,
     ParseError,
 )
-from esakia.posets import FinitePoset
+from esakia.posets import FinitePoset, has_enough_gaps, is_well_ordered, order_open_masks
 from esakia.topology import PUBLIC_SUBBASE_CAP, generate_base
 
 from conftest import posets
+
+THEOREM_FIXED = ["enough-gaps", "well-ordered-finite", "order-open-family-is-powerset",
+                 "interval-complements-order-open", "order-subcover-covers"]
 
 
 class TestPosetDocuments:
@@ -172,6 +175,25 @@ class TestCli:
         report, code = run_command(["verify", path])
         assert code == 0 and report.ok
         assert "skipped" not in report.data
+
+    @pytest.mark.parametrize("name", ["one", "anti2", "vee", "broom"])
+    def test_verify_reports_theorem_fixed_verdicts_as_constants(self, tmp_path, zoo, name):
+        # the constant verdicts stand for theorems on finite carriers; the
+        # functions that still compute them agree on each input
+        p = zoo[name]
+        report, code = run_command(["verify", write(tmp_path, "p.json", emit_poset(p))])
+        assert code == 0
+        fixed = [(v.name, v.passed) for v in report.verdicts if v.name in THEOREM_FIXED]
+        assert fixed == [(n, True) for n in THEOREM_FIXED]
+        assert has_enough_gaps(p).holds and is_well_ordered(p)
+        assert order_open_masks(p) == frozenset(range(1 << p.n))
+
+    def test_check_reports_theorem_fixed_verdicts_as_constants(self, tmp_path, zoo):
+        report, code = run_command(["check", write(tmp_path, "b.json", emit_poset(zoo["broom"]))])
+        assert code == 0
+        assert [(v.name, v.passed) for v in report.verdicts] == [
+            ("document-valid", True), ("enough-gaps", True)]
+        assert report.data["recognizers"]["well_ordered"] is True
 
     def test_subcover_golden(self, tmp_path, zoo):
         ppath = write(tmp_path, "c2.json", emit_poset(zoo["chain2"]))

@@ -90,6 +90,15 @@ class TestOrderSubcover:
         out = order_subcover(p, [fs(1), fs(0)])
         assert out == [fs(1), fs(0)] or out == [fs(0), fs(1)]
 
+    def test_ties_break_by_index(self):
+        out = order_subcover(chain_poset(3), [fs(2), fs(1), fs(0)])
+        assert out == [fs(2), fs(1), fs(0)]
+
+    def test_members_adding_no_points_are_skipped(self):
+        # fs(1) and the empty set add nothing once fs(0, 1) is chosen
+        out = order_subcover(chain_poset(3), [fs(1), fs(), fs(0, 1), fs(2)])
+        assert out == [fs(0, 1), fs(2)]
+
     def test_seeded_covers_always_succeed(self):
         rng = random.Random(7)
         for n in range(1, 7):
